@@ -364,7 +364,7 @@ impl BrasilBehavior {
     /// Force batch engagement on (`true`) or off (`false`) regardless of
     /// the analyzer's cost estimate. Pure scheduling policy — the lane and
     /// interpreted paths are bit-identical by construction — used by the
-    /// conformance tests and bench ablations to exercise lane programs
+    /// conformance tests to exercise lane programs
     /// whose estimated cost falls below the engagement threshold.
     pub fn with_batch_engagement(mut self, engaged: bool) -> Self {
         self.batch_override = Some(engaged);

@@ -254,7 +254,7 @@ pub const BATCH_COST_THRESHOLD: u32 = 10;
 /// per-candidate cost reaches [`BATCH_COST_THRESHOLD`], unless the caller
 /// pins the decision. Pure scheduling policy — the scalar and batched
 /// query paths are bit-identical by contract — so overrides exist for
-/// conformance tests and bench ablations, never for correctness.
+/// conformance tests, never for correctness.
 pub fn batch_engaged(per_candidate_cost: u32, engagement_override: Option<bool>) -> bool {
     engagement_override.unwrap_or(per_candidate_cost >= BATCH_COST_THRESHOLD)
 }

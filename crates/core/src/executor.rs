@@ -25,8 +25,7 @@
 //! effects land directly in the pool's effect columns — there is no
 //! separate final table and no per-tick `write_into` copy. `Vec<Agent>`
 //! survives only at the serialization boundary; [`reference_step`] keeps a
-//! row-oriented executable specification around for property tests (and
-//! for the SoA-vs-AoS ablation in the benchmarks).
+//! row-oriented executable specification around for property tests.
 //!
 //! # Incremental index maintenance
 //!

@@ -3,8 +3,7 @@
 //! The paper reports *total simulation time* for single-node experiments
 //! (Figures 3, 4) and *agent-ticks per second* for cluster experiments
 //! (Figures 5–7), discarding start-up transients. [`SimMetrics`] collects
-//! exactly what those harnesses need, with per-phase breakdowns for the
-//! ablation benchmarks.
+//! exactly what those harnesses need, with per-phase breakdowns.
 
 use brace_common::Welford;
 use serde::{Deserialize, Serialize};

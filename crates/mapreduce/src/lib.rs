@@ -47,11 +47,6 @@
 //!
 //! Layout:
 //!
-//! * [`generic`] — a small, general iterated MapReduce engine (`map`,
-//!   `reduce` as functions over key-value pairs, parallel workers, iteration
-//!   driver). BRACE's runtime is the spatial specialization of this model;
-//!   the generic engine exists to keep that claim honest (its tests run
-//!   word-count and an iterated computation).
 //! * [`codec`] — the wire format: agents (from records or straight from
 //!   pool columns), replica delta frames, effect rows and worker snapshots
 //!   encoded to [`bytes::Bytes`].
@@ -81,7 +76,6 @@ pub mod balance;
 pub mod checkpoint;
 pub mod cluster;
 pub mod codec;
-pub mod generic;
 pub mod manifest;
 pub mod master;
 pub mod net;

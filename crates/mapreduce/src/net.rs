@@ -4,8 +4,8 @@
 //! [`NetLedger`], which counts messages and payload bytes per category.
 //! Collocated traffic (a worker handing agents to its own next tick) never
 //! touches the ledger, which is exactly the saving the paper's collocation
-//! design buys; the ablation benchmark flips collocation off by forcing
-//! those hand-offs through the ledger and the codec.
+//! design buys; `ClusterConfig::collocation = false` turns it off by
+//! forcing those hand-offs through the ledger and the codec.
 
 use brace_telemetry::{Counter as TelCounter, Telemetry};
 use parking_lot::Mutex;

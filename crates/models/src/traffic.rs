@@ -95,10 +95,9 @@ pub struct TrafficParams {
     /// ≈0.7–0.87× after the grid's bucket arena made its *index-side*
     /// filter kernel-native — the index filter and this behavior-side
     /// kernel engage independently, and the gap scan still loses). Results
-    /// are
-    /// bit-identical either way (the kernel conformance contract), so this
-    /// is pure scheduling policy; pin `Some(true)` where the
-    /// `kernel_speedup` ablation row says it pays.
+    /// are bit-identical either way (the kernel conformance contract), so
+    /// this is pure scheduling policy; pin `Some(true)` where a measurement
+    /// says it pays.
     pub batch_engagement: Option<bool>,
 }
 

@@ -227,7 +227,7 @@ mod tests {
     fn engines_agree_within_tolerance() {
         // The Table 2 claim, in miniature: BRACE vs the hand-coded baseline
         // on the same road agree on density and velocity within a modest
-        // relative error. (Full-scale numbers appear in EXPERIMENTS.md.)
+        // relative error. (`paper table2` prints the full-scale numbers.)
         let p = params();
         let b = TrafficBehavior::new(p.clone());
         let pop = b.population(3);

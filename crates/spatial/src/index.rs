@@ -6,7 +6,7 @@
 //! probes for models like MITSIM's lead/rear-vehicle lookup. The engine is
 //! generic over [`SpatialIndex`] so the paper's indexing-on/off experiments
 //! (Figures 3 and 4) are a one-line configuration change, and so the KD-tree
-//! can be compared against a uniform grid in the ablation benchmarks.
+//! can be swapped for a uniform grid per scenario.
 //!
 //! Positions are immutable during the query phase (the state-effect
 //! pattern guarantees states are frozen within a tick), so no index needs to

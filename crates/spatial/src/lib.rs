@@ -15,8 +15,7 @@
 //! * [`partition`] — the spatial partitioning function `P : L → P` of the
 //!   paper's Appendix A: a rectilinear grid whose column boundaries can be
 //!   moved by the load balancer, owned regions, partition visible regions
-//!   and replica-target enumeration; [`quadtree`] provides the paper's
-//!   other named candidate, an adaptive quadtree.
+//!   and replica-target enumeration.
 //! * [`join`] — reference spatial self-join implementations used to
 //!   cross-validate the indexes and as the formal ground truth in tests.
 //! * [`kernels`] — fixed-width lane kernels (range filter, squared
@@ -30,10 +29,8 @@ pub mod join;
 pub mod kdtree;
 pub mod kernels;
 pub mod partition;
-pub mod quadtree;
 
 pub use grid::UniformGrid;
 pub use index::{IndexKind, ScanIndex, SpatialIndex};
 pub use kdtree::KdTree;
 pub use partition::{GridPartitioning, Partitioner};
-pub use quadtree::QuadTreePartitioning;

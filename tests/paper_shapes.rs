@@ -1,6 +1,6 @@
 //! Miniature versions of the paper's experiments with their *shapes*
-//! asserted — the regression suite behind EXPERIMENTS.md. Runs in debug CI
-//! time; the full figures come from the `paper` binary in release mode.
+//! asserted — the regression suite behind the `paper` binary. Runs in
+//! debug CI time; the full figures come from `paper` in release mode.
 
 use brace_common::stats::log_log_slope;
 use brace_core::{Behavior, Simulation};
