@@ -757,7 +757,7 @@ impl Pass for Pushdown {
     }
 }
 
-/// See [`Pushdown`]. Public for the `brace compile` inspector.
+/// See `Pushdown`. Public for the `brace compile` inspector.
 pub fn derive_probe_bounds(plan: &QueryPlan) -> Option<ProbeBounds> {
     let body = sole_loop_body(plan)?;
     if contains_rand(body) {
@@ -885,7 +885,7 @@ impl Pass for Emit {
     }
 }
 
-/// See [`Emit`]. Public for the `brace compile` inspector.
+/// See `Emit`. Public for the `brace compile` inspector.
 pub fn build_lane(plan: &QueryPlan) -> Option<LaneProgram> {
     let body = sole_loop_body(plan)?;
     let mut b = LaneBuilder {

@@ -482,29 +482,12 @@ impl AgentPool {
         }
     }
 
-    /// Gather row `r` into a reused scratch record (update-phase entry).
-    pub fn load_agent(&self, r: usize, into: &mut Agent) {
-        into.id = self.ids[r];
-        into.pos = Vec2::new(self.xs[r], self.ys[r]);
-        into.alive = self.alive[r];
-        into.state.clear();
-        into.state.extend(self.states.iter().map(|col| col[r]));
-        into.effects.clear();
-        into.effects.extend((0..self.effects.width()).map(|f| self.effects.get(r as u32, FieldId::new(f as u16))));
-    }
-
-    /// Split the pool into disjoint mutable chunks of `counts` rows each
-    /// (must sum to `len`), sharing the effect columns read-only — the
-    /// parallel update phase's entry point.
+    /// Split rows `0..counts.sum()` into disjoint mutable chunks of
+    /// `counts` rows each, sharing the effect columns read-only — the
+    /// parallel update phase's entry point. Rows past the plan (the
+    /// distributed worker's persistent replica tail) stay untouched and
+    /// unborrowed.
     pub fn update_chunks(&mut self, counts: &[usize]) -> Vec<UpdateChunk<'_>> {
-        debug_assert_eq!(counts.iter().sum::<usize>(), self.len(), "chunk plan must cover the pool");
-        self.update_chunks_prefix(counts)
-    }
-
-    /// [`AgentPool::update_chunks`] over a prefix of the pool: `counts` may
-    /// sum to less than `len`, leaving the remaining rows (the distributed
-    /// worker's persistent replica tail) untouched and unborrowed.
-    pub fn update_chunks_prefix(&mut self, counts: &[usize]) -> Vec<UpdateChunk<'_>> {
         debug_assert!(counts.iter().sum::<usize>() <= self.len(), "chunk plan exceeds the pool");
         let effects = &self.effects;
         let mut ids: &[AgentId] = &self.ids;
@@ -869,7 +852,7 @@ mod tests {
         let s = schema();
         let agents: Vec<Agent> = (0..6).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), &s)).collect();
         let mut pool = AgentPool::from_agents(&s, &agents);
-        let chunks = pool.update_chunks_prefix(&[2, 2]);
+        let chunks = pool.update_chunks(&[2, 2]);
         assert_eq!(chunks.len(), 2);
         let mut scratch = Agent::new(AgentId::new(0), Vec2::ZERO, &s);
         chunks[1].load(1, &mut scratch);

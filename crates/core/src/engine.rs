@@ -1,21 +1,26 @@
-//! High-level single-node simulation API.
+//! The single-node engine: [`Simulation`] owns one partition's working set
+//! (the columnar agent pool, the maintained spatial index, the shard
+//! scratch) and runs the phase functions of [`crate::executor`] back to
+//! back.
 //!
-//! [`Simulation`] wraps [`TickExecutor`] with a builder, validation and
-//! the couple of conveniences every experiment harness wants (warm-up
-//! discarding, snapshotting). It is one of the two engines behind the
-//! backend-erased driver in `brace_scenario` — `Runner`/`SimHandle` drive
-//! either this or `brace_mapreduce::ClusterSim` behind one facade, which
-//! is the surface most callers should use; reach for `Simulation`
-//! directly when embedding a single-node engine with a concrete behavior
-//! type (it stays monomorphized over `B`, so model code inlines into the
-//! probe loop).
+//! It is one of the two engines behind the backend-erased driver in
+//! `brace_scenario` — `Runner`/`SimHandle` drive either this or
+//! `brace_mapreduce::ClusterSim` behind one facade, which is the surface
+//! most callers should use; reach for `Simulation` directly when embedding
+//! a single-node engine with a concrete behavior type (it stays
+//! monomorphized over `B`, so model code inlines into the probe loop).
 
-use crate::agent::Agent;
+use crate::agent::{Agent, AgentPool};
 use crate::behavior::Behavior;
-use crate::executor::TickExecutor;
-use crate::metrics::{SimMetrics, TickMetrics};
+use crate::executor::{
+    query_phase_sharded_with, update_phase_sharded, IndexMaintenance, MaintainedIndex, QueryKernel, TickScratch,
+    SHARD_ROWS,
+};
+use crate::metrics::TickMetrics;
+use brace_common::ids::AgentIdGen;
 use brace_common::{BraceError, Result};
 use brace_spatial::IndexKind;
+use brace_telemetry::{Counter, HistId, Telemetry};
 
 /// Builder for a single-node [`Simulation`].
 pub struct SimulationBuilder<B: Behavior> {
@@ -83,15 +88,31 @@ impl<B: Behavior> SimulationBuilder<B> {
                 return Err(BraceError::Config(format!("duplicate agent id {}", a.id)));
             }
         }
-        let mut exec = TickExecutor::new(self.behavior, self.agents, self.index, self.seed);
-        exec.set_parallelism(self.parallelism);
-        Ok(Simulation { exec })
+        let mut sim = Simulation::new(self.behavior, self.agents, self.index, self.seed);
+        sim.set_parallelism(self.parallelism);
+        Ok(sim)
     }
 }
 
-/// A single-node behavioral simulation.
+/// A single-node behavioral simulation: the reference implementation of a
+/// BRACE tick, and the baseline of the paper's Figures 3 and 4. Runs the
+/// sharded phases with a configurable thread budget
+/// ([`Simulation::set_parallelism`]; default 1 = serial execution of the
+/// same deterministic shard plan).
 pub struct Simulation<B: Behavior> {
-    exec: TickExecutor<B>,
+    behavior: B,
+    pool: AgentPool,
+    index: MaintainedIndex,
+    scratch: TickScratch,
+    id_gen: AgentIdGen,
+    parallelism: usize,
+    kernel: QueryKernel,
+    seed: u64,
+    tick: u64,
+    /// Captured once at construction: recording when telemetry was enabled
+    /// then, a branch-only no-op otherwise (the off path touches no
+    /// atomics — see `brace_telemetry`).
+    tel: Telemetry,
 }
 
 impl<B: Behavior> Simulation<B> {
@@ -100,52 +121,139 @@ impl<B: Behavior> Simulation<B> {
         SimulationBuilder { behavior, agents: Vec::new(), index: IndexKind::KdTree, seed: 0, parallelism: 1 }
     }
 
-    /// Execute one tick.
+    /// Create a simulation without validation (see
+    /// [`SimulationBuilder::build`]). `agents` must already match the
+    /// behavior's schema; the id generator starts above every existing
+    /// agent id.
+    pub fn new(behavior: B, agents: Vec<Agent>, kind: IndexKind, seed: u64) -> Self {
+        let pool = AgentPool::from_agents(behavior.schema(), &agents);
+        let max_id = agents.iter().map(|a| a.id.raw()).max().map_or(0, |m| m + 1);
+        Simulation {
+            behavior,
+            pool,
+            index: MaintainedIndex::new(kind),
+            scratch: TickScratch::new(),
+            id_gen: AgentIdGen::from(max_id),
+            parallelism: 1,
+            kernel: QueryKernel::default(),
+            seed,
+            tick: 0,
+            tel: Telemetry::current(),
+        }
+    }
+
+    /// Set the thread budget for the query and update phases: `1` (the
+    /// default) runs the shard plan serially, `0` uses every available
+    /// core, `n` uses up to `n` threads. Never changes results — only wall
+    /// time (see the module's determinism argument).
+    pub fn set_parallelism(&mut self, parallelism: usize) {
+        self.parallelism = parallelism;
+    }
+
+    /// Current thread budget (`0` = auto).
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
+    /// Index maintenance policy (ablation knob): incremental (default) or
+    /// rebuild-every-tick. Never changes results — proven by the
+    /// incremental ≡ rebuild property.
+    pub fn set_index_maintenance(&mut self, mode: IndexMaintenance) {
+        self.index.set_mode(mode);
+    }
+
+    /// Query-kernel mode (ablation knob): batched lane kernels (default)
+    /// or the per-row scalar path. Never changes results — proven by the
+    /// kernel conformance properties.
+    pub fn set_query_kernel(&mut self, kernel: QueryKernel) {
+        self.kernel = kernel;
+    }
+
+    /// Current query-kernel mode.
+    pub fn query_kernel(&self) -> QueryKernel {
+        self.kernel
+    }
+
+    /// Full index builds performed so far (ablation statistic).
+    pub fn index_rebuilds(&self) -> u64 {
+        self.index.rebuilds()
+    }
+
+    /// Execute one tick (query → finalize effects → update).
     pub fn step(&mut self) -> TickMetrics {
-        self.exec.step()
+        let n = self.pool.len();
+        let qs = query_phase_sharded_with(
+            &self.behavior,
+            &mut self.pool,
+            n,
+            &mut self.index,
+            self.tick,
+            self.seed,
+            &mut self.scratch,
+            SHARD_ROWS,
+            self.parallelism,
+            self.kernel,
+        );
+        let us = update_phase_sharded(
+            &self.behavior,
+            &mut self.pool,
+            self.tick,
+            self.seed,
+            &mut self.id_gen,
+            &mut self.scratch,
+            self.parallelism,
+        );
+        let tm = TickMetrics {
+            tick: self.tick,
+            n_agents: n,
+            index_build_ns: qs.index_build_ns,
+            query_ns: qs.query_ns,
+            merge_ns: qs.merge_ns,
+            update_ns: us.update_ns,
+            neighbor_visits: qs.neighbor_visits,
+            nonlocal_writes: qs.nonlocal_writes,
+            spawned: us.spawned,
+            killed: us.killed,
+        };
+        // Phase timings re-use the stats the executor already measured:
+        // telemetry adds no clock reads to the tick, only these records.
+        self.tel.observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
+        self.tel.observe(HistId::PhaseQuery, tm.query_ns);
+        self.tel.observe(HistId::PhaseEffectMerge, tm.merge_ns);
+        self.tel.observe(HistId::PhaseUpdate, tm.update_ns);
+        self.tel.incr(Counter::ExecutorTicks);
+        self.tel.add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
+        self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
+        self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
+        self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
+        self.tick += 1;
+        tm
     }
 
     /// Execute `n` ticks.
     pub fn run(&mut self, n: u64) {
-        self.exec.run(n)
-    }
-
-    /// Execute `warmup` ticks, discard their metrics, then run `measured`
-    /// ticks — the paper's transient-elimination protocol.
-    pub fn run_measured(&mut self, warmup: u64, measured: u64) -> SimMetrics {
-        self.exec.run(warmup);
-        self.exec.reset_metrics();
-        self.exec.run(measured);
-        self.exec.metrics().clone()
+        for _ in 0..n {
+            self.step();
+        }
     }
 
     /// Materialize the world as row records (the serialization boundary;
     /// hot paths read [`Simulation::pool`]).
     pub fn agents(&self) -> Vec<Agent> {
-        self.exec.agents()
+        self.pool.to_agents()
     }
 
-    /// The executor's columnar working representation.
-    pub fn pool(&self) -> &crate::agent::AgentPool {
-        self.exec.pool()
+    /// The columnar working representation.
+    pub fn pool(&self) -> &AgentPool {
+        &self.pool
     }
 
     pub fn behavior(&self) -> &B {
-        self.exec.behavior()
+        &self.behavior
     }
 
     pub fn tick(&self) -> u64 {
-        self.exec.tick()
-    }
-
-    pub fn metrics(&self) -> &SimMetrics {
-        self.exec.metrics()
-    }
-
-    /// Discard accumulated metrics (start-up transient elimination) without
-    /// rewinding the simulation clock.
-    pub fn reset_metrics(&mut self) {
-        self.exec.reset_metrics()
+        self.tick
     }
 }
 
@@ -193,15 +301,5 @@ mod tests {
         let a2 = Agent::new(AgentId::new(1), Vec2::new(1.0, 0.0), b.schema());
         let err = Simulation::builder(b).agents(vec![a1, a2]).build().err().expect("duplicate ids must be rejected");
         assert!(err.to_string().contains("duplicate agent id"));
-    }
-
-    #[test]
-    fn run_measured_discards_warmup() {
-        let b = noop();
-        let agents = vec![Agent::new(AgentId::new(0), Vec2::ZERO, b.schema())];
-        let mut sim = Simulation::builder(b).agents(agents).seed(1).build().unwrap();
-        let m = sim.run_measured(3, 5);
-        assert_eq!(m.ticks, 5);
-        assert_eq!(sim.tick(), 8);
     }
 }

@@ -13,9 +13,10 @@
 //!   mapᵗ⁺¹      = update phase                         (this module)
 //! ```
 //!
-//! The single-node [`TickExecutor`] simply calls them back to back — it *is*
-//! the one-partition special case of the runtime, and the integration tests
-//! exploit that: the distributed engine must produce bit-identical agents.
+//! The single-node [`Simulation`](crate::Simulation) simply calls them back
+//! to back — it *is* the one-partition special case of the runtime, and the
+//! integration tests exploit that: the distributed engine must produce
+//! bit-identical agents.
 //!
 //! # Columnar working representation
 //!
@@ -70,7 +71,7 @@
 //!   every shard table spans the visible set and shards are ⊕-merged in
 //!   ascending shard order.
 //! * The inner probe loop is monomorphized over the concrete index type
-//!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]): the [`BuiltIndex`]
+//!   ([`ScanIndex`] / [`KdTree`] / [`UniformGrid`]): the `BuiltIndex`
 //!   enum is dispatched once per tick, not once per probe.
 //!
 //! # Determinism argument
@@ -102,12 +103,10 @@
 use crate::agent::{Agent, AgentPool, PoolView, UpdateChunk};
 use crate::behavior::{BatchScratch, Behavior, NeighborBatch, NeighborProbe, Neighbors, UpdateCtx};
 use crate::effect::{EffectTable, EffectWriter};
-use crate::metrics::{SimMetrics, TickMetrics};
 use crate::schema::AgentSchema;
 use brace_common::ids::AgentIdGen;
 use brace_common::{AgentId, DetRng, Vec2};
 use brace_spatial::{IndexKind, KdTree, ScanIndex, SpatialIndex, UniformGrid};
-use brace_telemetry::{Counter, HistId, Telemetry};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -371,13 +370,16 @@ pub struct QueryStats {
 }
 
 /// Reusable per-tick working memory, threaded through the executor so the
-/// hot path allocates nothing after the first tick: one [`ShardScratch`]
+/// hot path allocates nothing after the first tick: one `ShardScratch`
 /// (effect table + candidate buffer + spawn queue) per logical shard. One
 /// `TickScratch` belongs to one behavior (its tables are shaped by the
 /// behavior's schema).
 #[derive(Default)]
 pub struct TickScratch {
     shards: Vec<ShardScratch>,
+    /// The whole-pool update's kill and spawn reports, reused across ticks.
+    killed: Vec<u32>,
+    spawned: Vec<PendingSpawn>,
 }
 
 /// Working memory of one logical shard.
@@ -426,7 +428,8 @@ impl TickScratch {
 /// `0..n_owned` into a single full-width `table` (which is reset first),
 /// over an index built fresh for this call. This is the executable
 /// specification the sharded path is tested against; production paths
-/// ([`TickExecutor`], the MapReduce worker) call [`query_phase_sharded`].
+/// ([`Simulation`](crate::Simulation), the MapReduce worker) call
+/// [`query_phase_sharded`].
 ///
 /// After this returns, rows `0..n_owned` hold this partition's aggregated
 /// local effects and rows `n_owned..` hold partial aggregates destined for
@@ -859,14 +862,16 @@ fn update_rows<B: Behavior>(
     }
 }
 
-/// Sharded, optionally parallel update phase over the pool. Bit-identical
-/// to [`update_phase`] for every chunking and thread count: each agent's
-/// update is a pure function of `(seed, tick, agent)`, and per-chunk spawn
-/// queues are concatenated in chunk order, which reproduces the serial
-/// spawn ordering (and therefore id assignment) exactly. Each chunk
-/// gathers one row at a time into a reused scratch record, scatters the
-/// written state back into the columns, and the pool's effect columns are
-/// reset wholesale (one fill per column) at the end.
+/// Sharded, optionally parallel update phase over the whole pool — the
+/// single node's entry point: [`update_phase_prefix`] over every row, then
+/// the one-partition apply step. Killed rows are dropped, each pending
+/// spawn takes the next id from `id_gen` in the order returned, and the
+/// effect columns are reset. Bit-identical to [`update_phase`] for every
+/// chunking and thread count: each agent's update is a pure function of
+/// `(seed, tick, agent)`, and chunk order is row order, which reproduces
+/// the serial spawn ordering (and therefore id assignment) exactly. On an
+/// id-ordered pool that is ascending parent id, the order the distributed
+/// worker sequences spawns in.
 pub fn update_phase_sharded<B: Behavior>(
     behavior: &B,
     pool: &mut AgentPool,
@@ -876,46 +881,19 @@ pub fn update_phase_sharded<B: Behavior>(
     scratch: &mut TickScratch,
     parallelism: usize,
 ) -> UpdateStats {
-    let schema = behavior.schema();
     let t0 = Instant::now();
+    let (mut killed, mut spawned) = (std::mem::take(&mut scratch.killed), std::mem::take(&mut scratch.spawned));
     let n = pool.len();
-    let threads = effective_parallelism(parallelism).min(n).max(1);
-    let shards = scratch.ensure_shards(schema, threads);
-    for shard in shards.iter_mut() {
-        shard.spawns.clear();
-        shard.spawn_parents.clear();
-    }
-    {
-        let counts: Vec<usize> = (0..threads).map(|t| shard_range(n, threads, t).len()).collect();
-        let mut chunks = pool.update_chunks(&counts);
-        if threads <= 1 {
-            let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
-            update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
-        } else {
-            std::thread::scope(|scope| {
-                let mut rest = &mut *shards;
-                for mut chunk in chunks {
-                    let (shard, tail) = rest.split_at_mut(1);
-                    rest = tail;
-                    let ShardScratch { spawns, spawn_parents, .. } = &mut shard[0];
-                    scope.spawn(move || {
-                        update_chunk_rows(behavior, schema, &mut chunk, tick, seed, spawns, spawn_parents)
-                    });
-                }
-            });
-        }
-    }
-    let killed = pool.retain_alive();
-    let mut spawned = 0;
-    for shard in shards.iter_mut() {
-        spawned += shard.spawns.len();
-        for (pos, state) in shard.spawns.drain(..) {
-            let id = id_gen.alloc().expect("agent id space exhausted");
-            pool.push_spawn(id, pos, &state);
-        }
+    let mut stats = update_phase_prefix(behavior, pool, n, tick, seed, scratch, parallelism, &mut killed, &mut spawned);
+    pool.retain_alive();
+    for PendingSpawn { pos, state, .. } in spawned.drain(..) {
+        let id = id_gen.alloc().expect("agent id space exhausted");
+        pool.push_spawn(id, pos, &state);
     }
     pool.reset_effects();
-    UpdateStats { update_ns: t0.elapsed().as_nanos() as u64, spawned, killed }
+    (scratch.killed, scratch.spawned) = (killed, spawned);
+    stats.update_ns = t0.elapsed().as_nanos() as u64;
+    stats
 }
 
 /// A spawn requested during the update phase, before any agent id has been
@@ -939,8 +917,8 @@ pub struct PendingSpawn {
 
 /// Sharded update phase over rows `0..n_owned` of a pool whose tail holds
 /// **persistent replica rows that must survive the tick** — the distributed
-/// worker's entry point. Unlike [`update_phase_sharded`] it mutates no pool
-/// membership: killed rows are reported in `killed` (ascending row order)
+/// worker's entry point, and the update half of [`update_phase_sharded`].
+/// It mutates no pool membership: killed rows are reported in `killed` (ascending row order)
 /// for the caller to remove with its stable-row ops (keeping its id ↔ row
 /// map in sync), and spawns are reported id-less as [`PendingSpawn`]s in
 /// chunk order for the caller to sequence globally (the worker exchanges
@@ -971,7 +949,7 @@ pub fn update_phase_prefix<B: Behavior>(
     }
     {
         let counts: Vec<usize> = (0..threads).map(|t| shard_range(n_owned, threads, t).len()).collect();
-        let mut chunks = pool.update_chunks_prefix(&counts);
+        let mut chunks = pool.update_chunks(&counts);
         if threads <= 1 {
             let ShardScratch { spawns, spawn_parents, .. } = &mut shards[0];
             update_chunk_rows(behavior, schema, &mut chunks[0], tick, seed, spawns, spawn_parents);
@@ -1041,8 +1019,9 @@ fn update_chunk_rows<B: Behavior>(
 /// boundary, run the unsharded reference query phase over a freshly built
 /// index, copy effects back into the records, run the serial reference
 /// update phase. This is the row-oriented executable specification the
-/// pool-backed [`TickExecutor`] is property-tested against (bit-identical
-/// worlds), and the AoS baseline of the throughput ablation.
+/// pool-backed [`Simulation`](crate::Simulation) is property-tested
+/// against (bit-identical worlds), and the AoS baseline of the throughput
+/// ablation.
 pub fn reference_step<B: Behavior>(
     behavior: &B,
     agents: &mut Vec<Agent>,
@@ -1060,179 +1039,12 @@ pub fn reference_step<B: Behavior>(
     (qs, us)
 }
 
-/// Single-node executor: the reference implementation of a BRACE tick, and
-/// the baseline of the paper's Figures 3 and 4. Owns the agent pool, the
-/// maintained index and the shard scratch; runs the sharded phases with a
-/// configurable thread budget ([`TickExecutor::set_parallelism`]; default
-/// 1 = serial execution of the same deterministic shard plan).
-pub struct TickExecutor<B: Behavior> {
-    behavior: B,
-    pool: AgentPool,
-    index: MaintainedIndex,
-    scratch: TickScratch,
-    id_gen: AgentIdGen,
-    parallelism: usize,
-    kernel: QueryKernel,
-    seed: u64,
-    tick: u64,
-    metrics: SimMetrics,
-    /// Captured once at construction: recording when telemetry was enabled
-    /// then, a branch-only no-op otherwise (the off path touches no
-    /// atomics — see `brace_telemetry`).
-    tel: Telemetry,
-}
-
-impl<B: Behavior> TickExecutor<B> {
-    /// Create an executor. `agents` must already match the behavior's
-    /// schema; the id generator starts above every existing agent id.
-    pub fn new(behavior: B, agents: Vec<Agent>, kind: IndexKind, seed: u64) -> Self {
-        let pool = AgentPool::from_agents(behavior.schema(), &agents);
-        let max_id = agents.iter().map(|a| a.id.raw()).max().map_or(0, |m| m + 1);
-        TickExecutor {
-            behavior,
-            pool,
-            index: MaintainedIndex::new(kind),
-            scratch: TickScratch::new(),
-            id_gen: AgentIdGen::from(max_id),
-            parallelism: 1,
-            kernel: QueryKernel::default(),
-            seed,
-            tick: 0,
-            metrics: SimMetrics::default(),
-            tel: Telemetry::current(),
-        }
-    }
-
-    /// Set the thread budget for the query and update phases: `1` (the
-    /// default) runs the shard plan serially, `0` uses every available
-    /// core, `n` uses up to `n` threads. Never changes results — only wall
-    /// time (see the module's determinism argument).
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism;
-    }
-
-    /// Current thread budget (`0` = auto).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Index maintenance policy (ablation knob): incremental (default) or
-    /// rebuild-every-tick. Never changes results — proven by the
-    /// incremental ≡ rebuild property.
-    pub fn set_index_maintenance(&mut self, mode: IndexMaintenance) {
-        self.index.set_mode(mode);
-    }
-
-    /// Query-kernel mode (ablation knob): batched lane kernels (default)
-    /// or the per-row scalar path. Never changes results — proven by the
-    /// kernel conformance properties.
-    pub fn set_query_kernel(&mut self, kernel: QueryKernel) {
-        self.kernel = kernel;
-    }
-
-    /// Current query-kernel mode.
-    pub fn query_kernel(&self) -> QueryKernel {
-        self.kernel
-    }
-
-    /// Full index builds performed so far (ablation statistic).
-    pub fn index_rebuilds(&self) -> u64 {
-        self.index.rebuilds()
-    }
-
-    /// Execute one tick (query → finalize effects → update).
-    pub fn step(&mut self) -> TickMetrics {
-        let n = self.pool.len();
-        let qs = query_phase_sharded_with(
-            &self.behavior,
-            &mut self.pool,
-            n,
-            &mut self.index,
-            self.tick,
-            self.seed,
-            &mut self.scratch,
-            SHARD_ROWS,
-            self.parallelism,
-            self.kernel,
-        );
-        let us = update_phase_sharded(
-            &self.behavior,
-            &mut self.pool,
-            self.tick,
-            self.seed,
-            &mut self.id_gen,
-            &mut self.scratch,
-            self.parallelism,
-        );
-        let tm = TickMetrics {
-            tick: self.tick,
-            n_agents: n,
-            index_build_ns: qs.index_build_ns,
-            query_ns: qs.query_ns,
-            merge_ns: qs.merge_ns,
-            update_ns: us.update_ns,
-            neighbor_visits: qs.neighbor_visits,
-            nonlocal_writes: qs.nonlocal_writes,
-            spawned: us.spawned,
-            killed: us.killed,
-        };
-        // Phase timings re-use the stats the executor already measured:
-        // telemetry adds no clock reads to the tick, only these records.
-        self.tel.observe(HistId::PhaseIndexMaintain, tm.index_build_ns);
-        self.tel.observe(HistId::PhaseQuery, tm.query_ns);
-        self.tel.observe(HistId::PhaseEffectMerge, tm.merge_ns);
-        self.tel.observe(HistId::PhaseUpdate, tm.update_ns);
-        self.tel.incr(Counter::ExecutorTicks);
-        self.tel.add(Counter::ExecutorNeighborVisits, tm.neighbor_visits);
-        self.tel.add(Counter::ExecutorNonlocalWrites, tm.nonlocal_writes);
-        self.tel.add(Counter::ExecutorSpawned, tm.spawned as u64);
-        self.tel.add(Counter::ExecutorKilled, tm.killed as u64);
-        self.metrics.record(tm.clone());
-        self.tick += 1;
-        tm
-    }
-
-    /// Execute `n` ticks.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Materialize the world as row records (the serialization boundary;
-    /// hot paths use [`TickExecutor::pool`]).
-    pub fn agents(&self) -> Vec<Agent> {
-        self.pool.to_agents()
-    }
-
-    /// The columnar working representation.
-    pub fn pool(&self) -> &AgentPool {
-        &self.pool
-    }
-
-    pub fn behavior(&self) -> &B {
-        &self.behavior
-    }
-
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
-    }
-
-    /// Discard accumulated metrics (start-up transient elimination).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::AgentRef;
     use crate::combinator::Combinator;
+    use crate::engine::Simulation;
     use crate::schema::AgentSchema;
     use brace_common::{AgentId, FieldId, Vec2};
 
@@ -1279,7 +1091,7 @@ mod tests {
     fn neighbor_counts_are_correct() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 5, 0.9); // each sees adjacent only
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
+        let mut exec = Simulation::new(b, agents, IndexKind::KdTree, 1);
         let tm = exec.step();
         assert_eq!(tm.n_agents, 5);
         // After the tick, agents moved: ends saw 1 neighbor (moved 0.1),
@@ -1295,7 +1107,7 @@ mod tests {
         let run = |kind: IndexKind| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 40, 0.3);
-            let mut e = TickExecutor::new(b, agents, kind, 7);
+            let mut e = Simulation::new(b, agents, kind, 7);
             e.run(5);
             e.agents().iter().map(|a| a.pos).collect::<Vec<_>>()
         };
@@ -1309,7 +1121,7 @@ mod tests {
         // One dense cluster: counts are large, drift would exceed 0.5.
         let b = CountAndDrift::new();
         let agents: Vec<Agent> = (0..20).map(|i| Agent::new(AgentId::new(i), Vec2::ZERO, b.schema())).collect();
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
+        let mut exec = Simulation::new(b, agents, IndexKind::KdTree, 1);
         exec.step();
         for a in exec.agents() {
             assert!((a.pos.x - 0.5).abs() < 1e-12, "movement not cropped: {}", a.pos.x);
@@ -1320,7 +1132,7 @@ mod tests {
     fn effects_reset_between_ticks() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 3, 0.5);
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
+        let mut exec = Simulation::new(b, agents, IndexKind::KdTree, 1);
         exec.step();
         for a in exec.agents() {
             assert_eq!(a.effects, vec![0.0], "effects must be identity after tick");
@@ -1354,7 +1166,7 @@ mod tests {
         let b = SpawnKill { schema };
         let agents: Vec<Agent> =
             (0..4).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64, 0.0), b.schema())).collect();
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
+        let mut exec = Simulation::new(b, agents, IndexKind::KdTree, 1);
         let tm0 = exec.step();
         assert_eq!(tm0.spawned, 4);
         assert_eq!(exec.agents().len(), 8);
@@ -1370,24 +1182,11 @@ mod tests {
         let run = |seed| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 30, 0.4);
-            let mut e = TickExecutor::new(b, agents, IndexKind::KdTree, seed);
+            let mut e = Simulation::new(b, agents, IndexKind::KdTree, seed);
             e.run(10);
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
-    }
-
-    #[test]
-    fn metrics_accumulate() {
-        let b = CountAndDrift::new();
-        let agents = line_of_agents(b.schema(), 10, 0.4);
-        let mut exec = TickExecutor::new(b, agents, IndexKind::KdTree, 1);
-        exec.run(4);
-        assert_eq!(exec.metrics().ticks, 4);
-        assert_eq!(exec.metrics().agent_ticks, 40);
-        exec.reset_metrics();
-        assert_eq!(exec.metrics().ticks, 0);
-        assert_eq!(exec.tick(), 4, "reset_metrics must not rewind the clock");
     }
 
     #[test]
@@ -1396,7 +1195,7 @@ mod tests {
         let run = |threads: usize| {
             let b = CountAndDrift::new();
             let agents = line_of_agents(b.schema(), 500, 0.2);
-            let mut e = TickExecutor::new(b, agents, IndexKind::KdTree, 9);
+            let mut e = Simulation::new(b, agents, IndexKind::KdTree, 9);
             e.set_parallelism(threads);
             e.run(8);
             e.agents()
@@ -1414,7 +1213,7 @@ mod tests {
             let run = |mode: IndexMaintenance| {
                 let b = CountAndDrift::new();
                 let agents = line_of_agents(b.schema(), 300, 0.25);
-                let mut e = TickExecutor::new(b, agents, kind, 11);
+                let mut e = Simulation::new(b, agents, kind, 11);
                 e.set_index_maintenance(mode);
                 e.run(10);
                 e.agents()
@@ -1429,7 +1228,7 @@ mod tests {
     fn incremental_mode_actually_skips_rebuilds() {
         let b = CountAndDrift::new();
         let agents = line_of_agents(b.schema(), 300, 0.25);
-        let mut e = TickExecutor::new(b, agents, IndexKind::Grid, 11);
+        let mut e = Simulation::new(b, agents, IndexKind::Grid, 11);
         e.run(10);
         // Tick 0 builds; the stable population lets every later tick sync
         // incrementally.
@@ -1440,7 +1239,7 @@ mod tests {
     fn pool_executor_matches_reference_step() {
         let b = CountAndDrift::new();
         let mut world = line_of_agents(b.schema(), 120, 0.3);
-        let mut exec = TickExecutor::new(CountAndDrift::new(), world.clone(), IndexKind::Grid, 13);
+        let mut exec = Simulation::new(CountAndDrift::new(), world.clone(), IndexKind::Grid, 13);
         let mut id_gen = AgentIdGen::from(world.iter().map(|a| a.id.raw()).max().unwrap() + 1);
         for tick in 0..6 {
             exec.step();
@@ -1492,7 +1291,7 @@ mod tests {
             let b = Spawner(schema.clone());
             let agents: Vec<Agent> =
                 (0..1500).map(|i| Agent::new(AgentId::new(i), Vec2::new(i as f64 * 0.1, 0.0), &schema)).collect();
-            let mut e = TickExecutor::new(b, agents, IndexKind::Grid, 2);
+            let mut e = Simulation::new(b, agents, IndexKind::Grid, 2);
             e.set_parallelism(threads);
             e.run(3); // population: 1500 -> 2000 -> ~2667 -> crosses 2048
             e.agents().iter().map(|a| (a.id, a.pos)).collect::<Vec<_>>()

@@ -27,13 +27,15 @@
 //! * [`executor`] — the sharded tick executor (build index → query shards
 //!   in parallel → deterministic merge → update), the unit the MapReduce
 //!   runtime replicates per partition;
-//! * [`engine`] — a high-level `Simulation` builder for single-node runs;
-//! * [`metrics`] — per-tick timing and throughput accounting.
+//! * [`engine`] — [`Simulation`], the single-node engine: it owns the
+//!   pool, the maintained index and the scratch, and runs the executor's
+//!   phases back to back, behind a validating builder;
+//! * [`metrics`] — the per-tick timings and counters every step returns.
 //!
 //! This crate is the *engine* layer. User-facing entry points live one
 //! level up in `brace_scenario`: a `Scenario` registry (every workload —
 //! hand-coded or BRASIL-compiled — behind one trait) and a backend-erased
-//! `Runner` that drives a `Simulation` or a `brace_mapreduce` cluster
+//! `Runner` that drives a [`Simulation`] or a `brace_mapreduce` cluster
 //! through one facade, bit-identically.
 
 pub mod agent;
@@ -51,6 +53,6 @@ pub use behavior::{BatchScratch, Behavior, GatheredBatch, NeighborBatch, Neighbo
 pub use combinator::Combinator;
 pub use effect::{EffectTable, EffectWriter};
 pub use engine::{Simulation, SimulationBuilder};
-pub use executor::{IndexMaintenance, MaintainedIndex, PendingSpawn, QueryKernel, TickExecutor, TickScratch};
-pub use metrics::{SimMetrics, TickMetrics};
+pub use executor::{IndexMaintenance, MaintainedIndex, PendingSpawn, QueryKernel, TickScratch};
+pub use metrics::TickMetrics;
 pub use schema::{AgentSchema, SchemaBuilder};

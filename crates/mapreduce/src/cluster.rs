@@ -747,6 +747,27 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_ticks_once_across_fault_recovery() {
+        let agents = population(Flock::new().schema(), 60, 4);
+        let cfg = ClusterConfig {
+            workers: 2,
+            epoch_len: 5,
+            seed: 3,
+            load_balance: false,
+            checkpoint_every: Some(2),
+            fault: Some(FaultPlan::once(3)),
+            ..Default::default()
+        };
+        let mut sim = ClusterSim::new(Arc::new(Flock::new()), agents, cfg).unwrap();
+        sim.run_ticks(30).unwrap();
+        let stats = sim.stats();
+        assert_eq!(stats.recoveries, 1);
+        assert!(stats.replayed_epochs > 0, "the fault must replay epochs");
+        assert_eq!(stats.ticks, sim.tick(), "replayed epochs must not be counted again");
+        assert_eq!(stats.ticks, 30);
+    }
+
+    #[test]
     fn multi_fault_plan_reproduces_failure_free_run() {
         let agents = population(Flock::new().schema(), 90, 11);
         let base = ClusterConfig {

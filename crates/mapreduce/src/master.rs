@@ -30,11 +30,11 @@ use crate::codec;
 use crate::manifest::{DeadLetterRecord, EpochDoneRecord, ManifestRecord, ManifestWriter};
 use crate::net::NetStats;
 use crate::runtime::{Command, EpochCommand, Report, WorkerEpochStats};
-use brace_common::{BraceError, Result, WorkerId};
+use brace_common::{BraceError, Result};
 use brace_core::Agent;
 use brace_telemetry::{Counter as TelCounter, HistId, Telemetry};
 use crossbeam::channel::{Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bounded-backoff retry budget for a failing epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +85,6 @@ struct FaultState {
 /// `NetStats` (merged in by the facade).
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStats {
-    /// Live (non-replay) epochs completed.
-    pub epochs: u64,
     /// Ticks of simulated time completed (replay does not double-count).
     pub ticks: u64,
     /// Agent-ticks executed in live epochs.
@@ -311,7 +309,7 @@ impl Master {
         self.store.log_command(cmd.clone());
         self.epoch += 1;
         self.tick += cmd.ticks;
-        self.account(&reports);
+        self.account(cmd.ticks, &reports);
         self.decide(&reports);
         // Completion carries the post-decide state (histogram range,
         // pending repartition) so resume rebuilds the next command exactly.
@@ -440,9 +438,10 @@ impl Master {
         Ok((stats, snapshots))
     }
 
-    /// Merge an epoch's worker reports into run statistics.
-    fn account(&mut self, reports: &[WorkerEpochStats]) {
-        self.stats.epochs += 1;
+    /// Merge a live epoch's `ticks` and worker reports into run statistics
+    /// (replay never comes through here, so nothing is double-counted).
+    fn account(&mut self, ticks: u64, reports: &[WorkerEpochStats]) {
+        self.stats.ticks += ticks;
         let wall = reports.iter().map(|r| r.wall_ns).max().unwrap_or(0);
         // Barrier wait per worker: how long each worker idled at the epoch
         // barrier while the straggler (max wall) finished.
@@ -653,17 +652,5 @@ impl Master {
         for tx in &self.cmd_tx {
             let _ = tx.send(Command::Stop);
         }
-    }
-
-    /// Wall-clock instrumentation hook used by the facade.
-    pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        let t0 = Instant::now();
-        let out = f();
-        (out, t0.elapsed().as_nanos() as u64)
-    }
-
-    /// Workers addressed by this master (test/diagnostic).
-    pub fn worker_ids(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        (0..self.num_workers as u32).map(WorkerId::new)
     }
 }

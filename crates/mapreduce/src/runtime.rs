@@ -5,7 +5,7 @@
 //! | phase              | task                | here                         |
 //! |--------------------|---------------------|------------------------------|
 //! | updateᵗ⁻¹ + distributeᵗ | mapᵗ₁          | `Worker::distribute` (update executed eagerly at the end of the previous tick) |
-//! | queryᵗ / local effectᵗ | reduceᵗ₁        | `brace_core::query_phase`    |
+//! | queryᵗ / local effectᵗ | reduceᵗ₁        | `brace_core::executor::query_phase_sharded` |
 //! | (distribute effects)   | mapᵗ₂ (identity) | eliminated, as the paper notes |
 //! | global effectᵗ          | reduceᵗ₂        | `EffectTable::merge_row` over shipped rows |
 //!
@@ -14,7 +14,7 @@
 //! at *epoch* granularity only, which is the design point that amortizes
 //! coordination over many in-memory ticks.
 
-use brace_common::{Welford, WorkerId};
+use brace_common::WorkerId;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -112,8 +112,6 @@ pub struct WorkerEpochStats {
     /// Wall time of the epoch on this worker (includes waiting on peers —
     /// the straggler effect load balancing exists to fix).
     pub wall_ns: u64,
-    /// Busy time actually spent computing (index+query+update).
-    pub busy_ns: u64,
     /// Histogram of owned agents' x positions over the command's
     /// `hist_range` (input to the 1-D load balancer).
     pub x_hist: Vec<u64>,
@@ -124,8 +122,6 @@ pub struct WorkerEpochStats {
     /// Communication rounds executed per tick (1 = local effects only,
     /// 2 = map-reduce-reduce). Exposed to assert the Table 1 mapping.
     pub comm_rounds_per_tick: u32,
-    /// Per-tick busy-time distribution.
-    pub tick_time: Welford,
     /// Full replica records received this epoch (band entrants; under
     /// delta distribution a stable boundary population stops paying this
     /// after its first tick).

@@ -40,7 +40,7 @@
 //!
 //! # Replica sessions and registries
 //!
-//! For every destination the sender keeps a [`ReplicaSession`]: the set of
+//! For every destination the sender keeps a `ReplicaSession`: the set of
 //! agents currently replicated there plus the last-shipped value of every
 //! field, in columnar slots. Each tick it diffs the current band against
 //! the session: entrants ship full, leavers ship removals, persisting
@@ -58,7 +58,7 @@
 use crate::codec::{self, ReplicaDelta, ReplicaDeltaEnc, WorkerSnapshot, DELTA_MASK_X, DELTA_MASK_Y};
 use crate::net::{NetLedger, Traffic};
 use crate::runtime::{Command, EpochCommand, PeerMsg, Report, Round, WorkerEpochStats};
-use brace_common::{AgentId, DetRng, FieldId, Welford, WorkerId};
+use brace_common::{AgentId, DetRng, FieldId, WorkerId};
 use brace_core::executor::{query_phase_sharded, update_phase_prefix, MaintainedIndex, PendingSpawn, TickScratch};
 use brace_core::{Agent, AgentPool, Behavior};
 use brace_spatial::{GridPartitioning, IndexKind, Partitioner};
@@ -492,18 +492,12 @@ impl Worker {
             comm_rounds_per_tick: if self.behavior.schema().has_nonlocal_effects() { 2 } else { 1 },
             x_min: f64::INFINITY,
             x_max: f64::NEG_INFINITY,
-            tick_time: Welford::new(),
             ..Default::default()
         };
         let (rebuilds0, roundtrips0, index0) = (self.pool_rebuilds, self.vec_roundtrips, self.index.rebuilds());
         for _ in 0..cmd.ticks {
-            let t0 = Instant::now();
-            let owned_at_start = self.n_owned;
+            stats.agent_ticks += self.n_owned as u64;
             self.run_tick(&mut stats);
-            stats.agent_ticks += owned_at_start as u64;
-            let ns = t0.elapsed().as_nanos() as u64;
-            stats.busy_ns += ns;
-            stats.tick_time.push(ns as f64);
         }
         stats.pool_rebuilds = self.pool_rebuilds - rebuilds0;
         stats.vec_roundtrips = self.vec_roundtrips - roundtrips0;
@@ -1031,7 +1025,7 @@ mod tests {
     use brace_common::{FieldId, Vec2};
     use brace_core::behavior::{Neighbors, UpdateCtx};
     use brace_core::effect::EffectWriter;
-    use brace_core::{AgentSchema, Combinator, TickExecutor};
+    use brace_core::{AgentSchema, Combinator, Simulation};
     use crossbeam::channel::unbounded;
 
     /// Count visible neighbors; drift right by 0.1 * count.
@@ -1101,7 +1095,7 @@ mod tests {
     fn single_worker_tick_matches_single_node_executor() {
         let agents = line(25, 0.7);
         let mut worker = single_worker(agents.clone());
-        let mut exec = TickExecutor::new(Drift::new(), agents, IndexKind::KdTree, 11);
+        let mut exec = Simulation::new(Drift::new(), agents, IndexKind::KdTree, 11);
         let mut stats = WorkerEpochStats::default();
         for _ in 0..6 {
             worker.run_tick(&mut stats);

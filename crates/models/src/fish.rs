@@ -106,7 +106,7 @@ pub mod effect {
     pub const N_VIS: u16 = 7;
 }
 
-/// Per-candidate cost of [`candidate_force`] plus the zone fold, in the
+/// Per-candidate cost of `candidate_force` plus the zone fold, in the
 /// analyzer's ALU-op units (the same scale the BRASIL compiler scores its
 /// lane programs on): squared distance 3, square root 8, two divides for
 /// the unit direction 16, zone compares and force accumulation ≈6 — well
@@ -134,7 +134,7 @@ pub(crate) fn candidate_force(mx: f64, my: f64, cx: f64, cy: f64) -> (f64, f64, 
     }
 }
 
-/// Lane kernel behind [`FishBehavior`]'s batched query: [`candidate_force`]
+/// Lane kernel behind [`FishBehavior`]'s batched query: `candidate_force`
 /// over whole candidate columns. Written branch-free (the division always
 /// runs; degenerate lanes — including the querying fish itself at distance
 /// zero — select the zero direction afterwards) so LLVM vectorizes the

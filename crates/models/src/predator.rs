@@ -112,9 +112,9 @@ pub const BITE_KERNEL_COST: u32 = 4;
 /// Lane kernel behind [`PredatorBehavior`]'s batched query — the bite
 /// scan's vectorizable half: per candidate, the damage the querying fish
 /// would inflict (`strength × (my_size − size)`) and the damage it would
-/// receive (`strength × (size − my_size)`), exactly [`bite_damage`]'s
+/// receive (`strength × (size − my_size)`), exactly `bite_damage`'s
 /// arithmetic in both role assignments. The order-sensitive half — the
-/// [`bites`] predicate gating which (if either) damage is emitted, and the
+/// `bites` predicate gating which (if either) damage is emitted, and the
 /// emission itself in canonical candidate order — stays a scalar fold over
 /// these columns, so batched ≡ scalar bitwise.
 pub fn bite_kernel(sizes: &[f64], my_size: f64, strength: f64, dealt: &mut Vec<f64>, received: &mut Vec<f64>) {
@@ -202,7 +202,7 @@ impl Behavior for PredatorBehavior {
     }
 
     /// Batched query: gather sizes, run [`bite_kernel`] over the candidate
-    /// column, then fold in candidate order — the same [`bites`] gating,
+    /// column, then fold in candidate order — the same `bites` gating,
     /// over lane-computed damages, as the scalar path.
     // The fold walks four parallel columns by index; iterating any single
     // one (clippy's suggestion) would obscure that.

@@ -675,11 +675,10 @@ mod tests {
         assert_eq!(b.probe(), NeighborProbe::Nearest(4));
         let pop = b.population(7);
         let mut sim = Simulation::builder(b).agents(pop).seed(7).build().unwrap();
-        sim.step();
+        let tm = sim.step();
         // neighbor_visits counts candidates per agent; with k = 4 the mean
         // must be bounded by k + 1 (self slot).
-        let m = sim.metrics();
-        let per_agent = m.neighbor_visits as f64 / m.agent_ticks as f64;
+        let per_agent = tm.neighbor_visits as f64 / tm.n_agents as f64;
         assert!(per_agent <= 5.0, "visits/agent {per_agent} exceeds k+1");
     }
 

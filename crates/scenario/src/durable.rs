@@ -15,7 +15,7 @@
 //! The job line in the manifest header (`scenario=… size=… conformance=…`)
 //! plus the recorded seed fully identify the behavior, because scenario
 //! builds are pure functions of `(size, seed)` — that is the
-//! [`Scenario`](crate::Scenario) determinism contract doing durability
+//! [`Scenario`] determinism contract doing durability
 //! work.
 //!
 //! [`start`]: DurableRunner::start

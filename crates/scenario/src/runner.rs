@@ -1,14 +1,12 @@
 //! The backend-erased driver: one [`Runner`] facade over the single-node
 //! executor and the distributed cluster, with per-tick [`Observer`] hooks.
 //!
-//! Before this layer, single-node code used `brace_core::Simulation`
-//! (monomorphized, `run_measured`, `agents()`) while distributed code used
+//! Single-node code steps a `brace_core::Simulation` (monomorphized,
+//! tick-grained, `agents()`) while distributed code drives a
 //! `brace_mapreduce::ClusterSim` (dyn-based, epoch-grained, `run_ticks`,
-//! `collect_agents()`), and every experiment hand-wired both. A [`Runner`]
-//! erases the difference: pick a [`Backend`], launch a [`SimHandle`], run
-//! ticks, collect the world. Metric sinks and snapshot policy hang off
-//! [`Observer`]s instead of bespoke `run_measured`/`collect_agents` call
-//! sites.
+//! `collect_agents()`). A [`Runner`] erases the difference: pick a
+//! [`Backend`], launch a [`SimHandle`], run ticks, collect the world.
+//! Metric sinks and snapshot policy hang off [`Observer`]s.
 //!
 //! Determinism contract: for a fixed scenario, seed and population, every
 //! backend — any `parallelism`, any worker count — produces the same world
@@ -21,7 +19,7 @@
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{BraceError, Result};
-use brace_core::metrics::{SimMetrics, TickMetrics};
+use brace_core::metrics::TickMetrics;
 use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, ClusterStats};
 use brace_spatial::IndexKind;
@@ -284,7 +282,13 @@ impl<'s> Runner<'s> {
                 Inner::Cluster(Box::new(ClusterSim::new(setup.behavior, setup.population, cfg)?))
             }
         };
-        Ok(SimHandle { inner, observers: self.observers, snapshot_every: self.snapshot_every, snapshots_delivered: 0 })
+        Ok(SimHandle {
+            inner,
+            observers: self.observers,
+            snapshot_every: self.snapshot_every,
+            snapshots_delivered: 0,
+            agent_ticks: 0,
+        })
     }
 
     /// One-shot convenience: launch, run `ticks`, collect, run the
@@ -295,7 +299,7 @@ impl<'s> Runner<'s> {
     /// works on any backend.
     pub fn run(self, ticks: u64) -> Result<RunReport> {
         let scenario = self.scenario;
-        let backend_label = self.backend.label();
+        let backend = self.backend.label();
         let mut setup = self.setup()?;
         if matches!(self.backend, Backend::Cluster(_)) && ticks > 0 {
             setup.epoch_len = (1..=setup.epoch_len.max(1)).rev().find(|&e| ticks.is_multiple_of(e)).unwrap_or(1);
@@ -309,7 +313,7 @@ impl<'s> Runner<'s> {
         let agent_ticks = handle.agent_ticks();
         Ok(RunReport {
             scenario: scenario.name().to_string(),
-            backend: backend_label,
+            backend,
             ticks,
             agents: world.len(),
             checksum: crate::world_checksum(&world),
@@ -363,6 +367,9 @@ pub struct SimHandle {
     observers: Vec<Box<dyn Observer>>,
     snapshot_every: Option<u64>,
     snapshots_delivered: u64,
+    /// Agent-ticks stepped on the single-node backend (the cluster counts
+    /// its own in `ClusterStats`).
+    agent_ticks: u64,
 }
 
 impl SimHandle {
@@ -386,6 +393,7 @@ impl SimHandle {
                 Inner::Single(sim) => {
                     let tm = sim.step();
                     done += 1;
+                    self.agent_ticks += tm.n_agents as u64;
                     for o in &mut self.observers {
                         o.on_tick_metrics(&tm);
                     }
@@ -447,33 +455,11 @@ impl SimHandle {
         world_of(&mut self.inner)
     }
 
-    /// [`crate::world_checksum`] of [`SimHandle::world`].
-    pub fn checksum(&mut self) -> Result<u64> {
-        Ok(crate::world_checksum(&self.world()?))
-    }
-
     /// Agent-ticks executed so far.
     pub fn agent_ticks(&self) -> u64 {
         match &self.inner {
-            Inner::Single(sim) => sim.metrics().agent_ticks,
+            Inner::Single(_) => self.agent_ticks,
             Inner::Cluster(sim) => sim.stats().agent_ticks,
-        }
-    }
-
-    /// Single-node phase metrics (`None` on the cluster backend, whose
-    /// accounting lives in [`SimHandle::cluster_stats`]).
-    pub fn metrics(&self) -> Option<&SimMetrics> {
-        match &self.inner {
-            Inner::Single(sim) => Some(sim.metrics()),
-            Inner::Cluster(_) => None,
-        }
-    }
-
-    /// Discard accumulated single-node metrics (warm-up elimination); a
-    /// no-op on the cluster backend.
-    pub fn reset_metrics(&mut self) {
-        if let Inner::Single(sim) = &mut self.inner {
-            sim.reset_metrics();
         }
     }
 
@@ -490,14 +476,6 @@ impl SimHandle {
         match &self.inner {
             Inner::Single(_) => None,
             Inner::Cluster(sim) => Some(sim.x_bounds()),
-        }
-    }
-
-    /// Backend label (`single`, `cluster:N`).
-    pub fn backend_label(&self) -> String {
-        match &self.inner {
-            Inner::Single(_) => "single".to_string(),
-            Inner::Cluster(sim) => format!("cluster:{}", sim.x_bounds().len().saturating_sub(1)),
         }
     }
 }
@@ -531,6 +509,19 @@ mod tests {
         assert_eq!(cluster.ticks, 10);
         assert_eq!(single.checksum, cluster.checksum, "exactly-distributable scenario must bit-match");
         assert_eq!(single.agents, cluster.agents);
+    }
+
+    #[test]
+    fn agent_ticks_count_every_stepped_agent_on_both_backends() {
+        let registry = Registry::builtin();
+        let scenario = registry.get("flock-obstacles").unwrap();
+        for backend in [Backend::SingleNode { parallelism: 1 }, Backend::cluster(2)] {
+            let label = backend.label();
+            let mut handle = Runner::new(scenario).conformance().backend(backend).epoch_len(5).launch().unwrap();
+            let agents = handle.world().unwrap().len() as u64;
+            handle.run(10).unwrap();
+            assert_eq!(handle.agent_ticks(), agents * 10, "{label}");
+        }
     }
 
     #[test]

@@ -476,7 +476,7 @@ impl SpatialIndex for UniformGrid {
     /// ascending-payload segment per bucket, no gather — and the surviving
     /// segments k-way merge into the caller's buffer. The filter *selects*
     /// (per-run order is preserved) and the merge is the same
-    /// lowest-payload-first rule as [`Self::for_merged_points`], so the
+    /// lowest-payload-first rule as `Self::for_merged_points`, so the
     /// emitted sequence is exactly [`SpatialIndex::range`]'s: the ascending
     /// payloads of the matching point set (the canonical-order contract).
     /// Wide/sparse probes filter every overlapped run and sort the

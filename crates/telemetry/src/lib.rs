@@ -39,7 +39,7 @@
 //! | `brace_phase_query_ns` | histogram | executor: query phase (incl. merge) |
 //! | `brace_phase_effect_merge_ns` | histogram | executor: shard-table ⊕-merge |
 //! | `brace_phase_update_ns` | histogram | executor: update phase |
-//! | `brace_epoch_barrier_wait_ns` | histogram | cluster worker: epoch wall − busy |
+//! | `brace_epoch_barrier_wait_ns` | histogram | cluster worker: straggler's epoch wall − own |
 //! | `brace_checkpoint_write_ns` | histogram | cluster master: checkpoint store |
 //! | `brace_serve_run_latency_ns` | histogram | serve: accepted-run wall time |
 //! | `brace_executor_ticks_total` … | counter | executor per-tick counters |
@@ -120,7 +120,7 @@ const HIST_NAMES: &[(&str, &str)] = &[
     ("brace_phase_query_ns", "Per-tick query phase time (probes, behavior queries, shard merge)"),
     ("brace_phase_effect_merge_ns", "Per-tick shard effect-table merge time"),
     ("brace_phase_update_ns", "Per-tick update phase time"),
-    ("brace_epoch_barrier_wait_ns", "Per-epoch worker barrier wait (epoch wall time minus busy time)"),
+    ("brace_epoch_barrier_wait_ns", "Per-epoch worker barrier wait (slowest worker's wall time minus its own)"),
     ("brace_checkpoint_write_ns", "Coordinated checkpoint write time"),
     ("brace_serve_run_latency_ns", "Wall time of accepted (non-cached) serve runs"),
 ];

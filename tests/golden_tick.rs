@@ -22,7 +22,7 @@
 //! and say so in the PR. An *unexplained* checksum change is a determinism
 //! bug; do not update the constants to paper over one.
 
-use brace_core::{Agent, Behavior, TickExecutor};
+use brace_core::{Agent, Behavior, Simulation};
 use brace_mapreduce::{ClusterConfig, ClusterSim, FaultPlan, LoadBalancer};
 use brace_models::{FishBehavior, FishParams, PredatorBehavior, PredatorParams, TrafficBehavior, TrafficParams};
 use brace_spatial::IndexKind;
@@ -37,7 +37,7 @@ const TICKS: u64 = 100;
 const SEED: u64 = 42;
 
 fn run_checksum<B: brace_core::Behavior>(behavior: B, pop: Vec<Agent>, kind: IndexKind) -> u64 {
-    let mut exec = TickExecutor::new(behavior, pop, kind, SEED);
+    let mut exec = Simulation::new(behavior, pop, kind, SEED);
     exec.run(TICKS);
     world_checksum(&exec.agents())
 }

@@ -4,7 +4,7 @@
 //!
 //! * Proptests (named `opt_*` so CI can select them) drive each
 //!   `brasil-*` scenario against its [`brasil_unoptimized`] twin through
-//!   `brace_core::TickExecutor` over random populations, seeds, index
+//!   `brace_core::Simulation` over random populations, seeds, index
 //!   kinds and tick counts, under **both** query kernels. This pins the
 //!   whole pipeline — const-fold, CSE, dead-code, visibility-predicate
 //!   pushdown (the shrunken probe rect must not drop a contributing
@@ -21,7 +21,7 @@
 //! (inversion is only ~1e-9-equivalent, so both sides of the A/B carry
 //! it); everything else the pipeline does is bit-exact by construction.
 
-use brace::core::{Agent, Behavior, QueryKernel, TickExecutor};
+use brace::core::{Agent, Behavior, QueryKernel, Simulation};
 use brace::scenario::{brasil_unoptimized, Backend, Registry, Runner, Scenario};
 use brace_common::{AgentId, DetRng, Vec2};
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ fn run_world(
     } else {
         brasil_unoptimized(name).expect("unoptimized twin").build(Some(n), seed).unwrap()
     };
-    let mut exec = TickExecutor::new(setup.behavior, setup.population, kind, seed);
+    let mut exec = Simulation::new(setup.behavior, setup.population, kind, seed);
     exec.set_query_kernel(kernel);
     exec.run(ticks);
     exec.agents()
@@ -166,7 +166,7 @@ proptest! {
             .collect();
         let run = |kernel| {
             let forced = behavior.clone().with_batch_engagement(true);
-            let mut exec = TickExecutor::new(forced, agents.clone(), kind, seed);
+            let mut exec = Simulation::new(forced, agents.clone(), kind, seed);
             exec.set_query_kernel(kernel);
             exec.run(ticks);
             exec.agents()

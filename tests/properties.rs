@@ -725,7 +725,7 @@ proptest! {
         let run = |parallelism: usize| {
             let b = LocalFloat::new(vis);
             let agents = random_population(b.schema(), n, seed);
-            let mut exec = brace_core::TickExecutor::new(b, agents, kind, seed);
+            let mut exec = brace_core::Simulation::new(b, agents, kind, seed);
             exec.set_parallelism(parallelism);
             exec.run(6);
             exec.agents()
@@ -749,7 +749,7 @@ proptest! {
     ) {
         let b = ChurnField::new(vis);
         let mut world = random_population(b.schema(), n, seed);
-        let mut exec = brace_core::TickExecutor::new(ChurnField::new(vis), world.clone(), kind, seed);
+        let mut exec = brace_core::Simulation::new(ChurnField::new(vis), world.clone(), kind, seed);
         exec.set_parallelism(threads);
         let mut id_gen = AgentIdGen::from(n as u64);
         for tick in 0..ticks {
@@ -773,7 +773,7 @@ proptest! {
         let run = |mode: IndexMaintenance| {
             let b = LocalFloat::new(vis);
             let agents = random_population(b.schema(), n, seed);
-            let mut exec = brace_core::TickExecutor::new(b, agents, kind, seed);
+            let mut exec = brace_core::Simulation::new(b, agents, kind, seed);
             exec.set_index_maintenance(mode);
             exec.run(ticks);
             exec.agents()
@@ -1010,7 +1010,7 @@ proptest! {
         }
         let run = |kernel: QueryKernel| {
             let mut exec =
-                brace_core::TickExecutor::new(FishBehavior::new(params.clone()), pop.clone(), kind, seed);
+                brace_core::Simulation::new(FishBehavior::new(params.clone()), pop.clone(), kind, seed);
             exec.set_parallelism(threads);
             exec.set_query_kernel(kernel);
             exec.run(ticks);
@@ -1045,7 +1045,7 @@ proptest! {
         let pop = TrafficBehavior::new(params.clone()).population(seed);
         let run = |kernel: QueryKernel| {
             let mut exec =
-                brace_core::TickExecutor::new(TrafficBehavior::new(params.clone()), pop.clone(), kind, seed);
+                brace_core::Simulation::new(TrafficBehavior::new(params.clone()), pop.clone(), kind, seed);
             exec.set_query_kernel(kernel);
             exec.run(ticks);
             exec.agents()
@@ -1081,7 +1081,7 @@ proptest! {
         }
         let run = |kernel: QueryKernel| {
             let mut exec =
-                brace_core::TickExecutor::new(PredatorBehavior::new(params.clone()), pop.clone(), kind, seed);
+                brace_core::Simulation::new(PredatorBehavior::new(params.clone()), pop.clone(), kind, seed);
             exec.set_parallelism(threads);
             exec.set_query_kernel(kernel);
             exec.run(ticks);

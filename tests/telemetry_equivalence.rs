@@ -8,7 +8,7 @@
 //! below still share the flag with each other, so they serialize behind one
 //! mutex and restore the prior state on drop.
 
-use brace_core::{QueryKernel, TickExecutor};
+use brace_core::{QueryKernel, Simulation};
 use brace_models::{FishBehavior, FishParams};
 use brace_scenario::{Backend, Registry, Runner};
 use brace_spatial::IndexKind;
@@ -117,14 +117,14 @@ fn telemetry_recording_costs_at_most_two_percent_of_tick_throughput() {
         let radius = (AGENTS as f64 / std::f64::consts::PI / 0.5).sqrt();
         let behavior = FishBehavior::new(FishParams { school_radius: radius, ..FishParams::default() });
         let pop = behavior.population(AGENTS, 42);
-        let mut exec = TickExecutor::new(behavior, pop, IndexKind::KdTree, 42);
+        let mut exec = Simulation::new(behavior, pop, IndexKind::KdTree, 42);
         exec.set_parallelism(1);
         exec.set_query_kernel(QueryKernel::Batched);
         exec.run(WARMUP);
         exec
     };
     let (mut off, mut on) = (build(false), build(true));
-    let timed = |exec: &mut TickExecutor<FishBehavior>| {
+    let timed = |exec: &mut Simulation<FishBehavior>| {
         let start = Instant::now();
         exec.step();
         start.elapsed().as_secs_f64()
