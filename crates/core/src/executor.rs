@@ -33,11 +33,12 @@
 //! The reachability bound caps per-tick movement, so the spatial index is
 //! *maintained*, not rebuilt: a [`MaintainedIndex`] diffs the pool's
 //! position columns against the positions it indexed last tick, applies
-//! only the rows that actually moved ([`SpatialIndex::update`] — grid
-//! bucket moves, KD-tree in-place slot updates with bound expansion), and
-//! lets the index restructure lazily once accumulated motion exceeds a
-//! budget of half the visibility range ([`SpatialIndex::maintain`] — the
-//! KD-tree's per-subtree rebuild threshold). A full rebuild happens only
+//! only the rows that actually moved ([`SpatialIndex::update`] — a grid
+//! counting-sort re-bin, KD-tree in-place slot updates with bound
+//! expansion), and lets the index restructure lazily once accumulated
+//! motion exceeds a budget of half the visibility range
+//! ([`SpatialIndex::maintain`] — the KD-tree's per-subtree rebuild
+//! threshold). A full rebuild happens only
 //! when the row ↔ agent mapping changed (spawns, kills, repartitioning) or
 //! an index reports it cannot maintain itself. The
 //! [`IndexMaintenance::Rebuild`] mode forces the old rebuild-every-tick
@@ -45,7 +46,8 @@
 //!
 //! Probe results are **canonicalized** per index kind: grid and scan emit
 //! range candidates in an order that is already a pure function of the
-//! point set (`SpatialIndex::RANGE_CANONICAL`), the KD-tree's candidates
+//! point set (`SpatialIndex::RANGE_CANONICAL`: the scan's row order, the
+//! grid's per-probe payload sort), the KD-tree's candidates
 //! are row-sorted here, and k-NN ties break by row everywhere — so a
 //! maintained index and a fresh rebuild aggregate float effects in exactly
 //! the same order and produce bit-identical effect tables.
@@ -192,8 +194,8 @@ impl BuiltIndex {
             IndexKind::Scan => BuiltIndex::Scan(ScanIndex::build(points)),
             IndexKind::KdTree => BuiltIndex::Kd(KdTree::build(points)),
             IndexKind::Grid => {
-                // Cell ≈ visibility is the classic tuning; fall back to the
-                // auto heuristic when visibility is unbounded.
+                // The grid derives its cell side from the density; a
+                // bounded visibility caps it so probes stay local.
                 if vis.is_finite() && vis > 0.0 {
                     BuiltIndex::Grid(UniformGrid::with_cell(points, vis))
                 } else {
@@ -230,7 +232,7 @@ pub enum QueryKernel {
     /// [`Behavior::query_batch`] (vectorized per-candidate math, ordered
     /// emission), and indexes whose batched filter is gather-free
     /// (`SpatialIndex::RANGE_BATCH_NATIVE` — the scan's native columns,
-    /// the grid's bucket-major SoA arena) answer range probes through
+    /// the grid's cell-ordered strips) answer range probes through
     /// `range_batch` (containment as a lane kernel) instead of the
     /// per-point test.
     #[default]
@@ -540,7 +542,7 @@ fn query_rows<B: Behavior, I: SpatialIndex>(
                     // cluster bit-identical to one node). When rows are
                     // already in id order (every single-node pool), row
                     // order *is* id order: scan (row-order columns) and
-                    // grid (ascending-payload bucket merge) are then
+                    // grid (per-probe ascending-payload sort) are then
                     // canonical by construction (`RANGE_CANONICAL`) and
                     // only the KD-tree (build-history emission order) pays
                     // a sort.

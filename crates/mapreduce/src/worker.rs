@@ -1112,7 +1112,7 @@ mod tests {
 
     #[test]
     fn steady_ticks_never_rebuild_the_pool() {
-        // Grid index: sorted-bucket moves handle a fully-moving stable
+        // Grid index: an in-place re-bin handles a fully-moving stable
         // population without rebuilds (the KD-tree intentionally declines
         // dense motion batches in favor of a rebuild — separate policy).
         let mut worker = single_worker_with(line(40, 0.6), IndexKind::Grid);

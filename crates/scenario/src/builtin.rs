@@ -19,25 +19,20 @@
 //!   because bite damages are float sums whose cross-partition ⊕ order is
 //!   not associative. Spawning stays **on** at its default rate.
 //!
-//! Index choice no longer interacts with exact distributability: the
-//! uniform grid's canonical range emission is globally **ascending by
-//! payload** (a payload merge across the overlapping buckets), which on an
-//! id-ordered single-node pool is exactly the id-sorted order a worker's
+//! Index choice does not interact with exact distributability: the
+//! uniform grid's range emission is globally **ascending by payload**
+//! (every probe sorts the points that pass), which on an id-ordered
+//! single-node pool is exactly the id-sorted order a worker's
 //! swap-mutated pool canonicalizes to. Order-sensitive float-sum models
-//! are therefore exactly distributable on the grid, and every
-//! [`Scenario::conformance`] form certifies the grid — the index that
-//! historically *couldn't* carry them (its emission used to be
-//! bucket-major) and the cheapest canonical index (no per-probe candidate
-//! sort on either backend). Default `build` forms use the KD-tree across
-//! the catalogue: the paper's index for the fish-style workloads, and —
-//! since the hotspot-erosion fix — also for traffic and the epidemic,
-//! whose jams and infection clusters concentrate agents into a few grid
-//! buckets and erode the grid's constant-density advantage (on 100k-agent
-//! Zipf hotspots the KD-tree probed 1.8–2× faster). The index is never
-//! semantics, so the flip moves no checksum; KD-tree cross-backend
-//! equivalence stays pinned by the golden cluster tests and the
-//! distributed-equivalence property suite, while every conformance form
-//! still certifies the grid.
+//! are therefore exactly distributable on the grid. Every default `build`
+//! form runs on the grid: its dense counting-sort cells, sized from the
+//! observed density and capped at the visibility bound, probe the jams,
+//! infection clusters and predator hotspots of these workloads faster than
+//! the KD-tree. The index is never semantics, so the choice moves no
+//! checksum (`tests/scenario_conformance.rs` runs every default form on
+//! the grid, the KD-tree and the scan and requires equal checksums); the
+//! KD-tree stays selectable (`--index kd`) and remains the second
+//! implementation in the equivalence proofs.
 
 use crate::{Scenario, ScenarioSetup};
 use brace_common::{AgentId, DetRng, Result, Vec2};
@@ -59,13 +54,11 @@ pub const CONFORMANCE_POPULATION: usize = 300;
 /// horizon and the CI smoke horizon).
 const EPOCH_LEN: u64 = 5;
 
-/// The shared conformance form of the scenarios whose `build` defaults to
-/// the KD-tree: the default build, shrunk to [`CONFORMANCE_POPULATION`],
-/// running on the uniform grid. The grid's ascending-payload emission makes
-/// it the canonical conformance index (see the module docs); the bits are
-/// identical to the KD-tree's on a single node (the executor sorts the
-/// KD-tree's candidates into the very same ascending order), so flipping
-/// the conformance index moved no golden checksum.
+/// The shared conformance form: the default build, shrunk to
+/// [`CONFORMANCE_POPULATION`], pinned to the uniform grid. Every default
+/// build already runs on the grid; pinning it here keeps the conformance
+/// suite certifying the grid's canonical emission whatever a scenario's
+/// default index becomes.
 fn grid_conformance(scenario: &dyn Scenario, seed: u64) -> Result<ScenarioSetup> {
     let mut setup = scenario.build(Some(CONFORMANCE_POPULATION), seed)?;
     setup.index = IndexKind::Grid;
@@ -153,7 +146,7 @@ impl Scenario for Fish {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (-r, r),
         })
@@ -200,11 +193,7 @@ impl Scenario for Traffic {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            // KD-tree since the hotspot-erosion fix: traffic jams pile
-            // vehicles into a handful of grid buckets, so the grid's probe
-            // cost degrades toward a scan exactly when the workload gets
-            // interesting. The KD-tree adapts its cuts to the jam.
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, segment),
         })
@@ -258,7 +247,7 @@ impl Scenario for Predator {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
@@ -329,7 +318,7 @@ impl Scenario for BrasilFish {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
@@ -379,7 +368,7 @@ impl Scenario for BrasilPredator {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
@@ -424,7 +413,7 @@ impl Scenario for BrasilCar {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, extent),
         })
@@ -466,10 +455,7 @@ impl Scenario for Epidemic {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            // KD-tree since the hotspot-erosion fix: infection clusters are
-            // hotspots by construction, and dense buckets erode the grid's
-            // constant-density probe bound.
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })
@@ -527,7 +513,7 @@ impl Scenario for FlockObstacles {
         Ok(ScenarioSetup {
             behavior: Arc::new(behavior),
             population,
-            index: IndexKind::KdTree,
+            index: IndexKind::Grid,
             epoch_len: EPOCH_LEN,
             space_x: (0.0, side),
         })

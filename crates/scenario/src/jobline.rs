@@ -116,7 +116,7 @@ pub struct RunKey {
     /// Explicit index override (`None` = the scenario's own choice, which
     /// is itself a pure function of the job — so `None` is canonical).
     pub index: Option<IndexKind>,
-    /// Backend label (`single`, `cluster:N`) — see the module docs for why
+    /// Backend label (`single`, `single:N`, `cluster:N`) — see the module docs for why
     /// this is keyed even for exactly-distributable jobs.
     pub backend: String,
 }

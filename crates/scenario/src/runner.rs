@@ -64,29 +64,35 @@ impl Backend {
         Backend::Cluster(ClusterConfig { workers, ..ClusterConfig::default() })
     }
 
-    /// Parse a CLI backend spec: `single`, `cluster` (4 workers) or
-    /// `cluster:N`.
+    /// Parse a CLI backend spec: `single` (serial), `single:N` (`N`
+    /// threads, `0` = all cores), `cluster` (4 workers) or `cluster:N`.
     pub fn parse(s: &str) -> Result<Backend> {
+        let count = |n: &str, what: &str| {
+            n.parse::<usize>().map_err(|e| BraceError::Config(format!("backend `{s}`: bad {what}: {e}")))
+        };
         match s {
             "single" => Ok(Backend::single()),
             "cluster" => Ok(Backend::cluster(4)),
-            _ => match s.strip_prefix("cluster:") {
-                Some(n) => {
-                    let workers: usize =
-                        n.parse().map_err(|e| BraceError::Config(format!("backend `{s}`: bad worker count: {e}")))?;
-                    Ok(Backend::cluster(workers))
+            _ => {
+                if let Some(n) = s.strip_prefix("single:") {
+                    Ok(Backend::SingleNode { parallelism: count(n, "thread count")? })
+                } else if let Some(n) = s.strip_prefix("cluster:") {
+                    Ok(Backend::cluster(count(n, "worker count")?))
+                } else {
+                    Err(BraceError::Config(format!(
+                        "unknown backend `{s}` (expected `single`, `single:N`, `cluster` or `cluster:N`)"
+                    )))
                 }
-                None => Err(BraceError::Config(format!(
-                    "unknown backend `{s}` (expected `single`, `cluster` or `cluster:N`)"
-                ))),
-            },
+            }
         }
     }
 
-    /// Short display form (`single`, `cluster:4`).
+    /// Short display form (`single`, `single:2`, `cluster:4`); the inverse
+    /// of [`Backend::parse`]. Serial single node stays plain `single`.
     pub fn label(&self) -> String {
         match self {
-            Backend::SingleNode { .. } => "single".to_string(),
+            Backend::SingleNode { parallelism: 1 } => "single".to_string(),
+            Backend::SingleNode { parallelism } => format!("single:{parallelism}"),
             Backend::Cluster(cfg) => format!("cluster:{}", cfg.workers),
         }
     }
@@ -219,7 +225,7 @@ impl<'s> Runner<'s> {
             // The conformance configuration is a fixed point: population
             // and index are part of what its bit-exact cluster ≡
             // single-node contract certifies (see the `builtin` module
-            // docs on the grid's bucket-major emission), so overriding
+            // docs on the grid's canonical emission), so overriding
             // either would silently void the contract. Reject instead.
             if self.size.is_some() {
                 return Err(BraceError::Config(
@@ -329,7 +335,7 @@ impl<'s> Runner<'s> {
 pub struct RunReport {
     /// Registry name of the scenario.
     pub scenario: String,
-    /// Backend label (`single`, `cluster:4`).
+    /// Backend label (`single`, `single:2`, `cluster:4`).
     pub backend: String,
     /// Ticks executed.
     pub ticks: u64,
@@ -497,6 +503,12 @@ mod tests {
         assert_eq!(Backend::parse("cluster").unwrap().label(), "cluster:4");
         assert!(Backend::parse("gpu").is_err());
         assert!(Backend::parse("cluster:x").is_err());
+        assert!(Backend::parse("single:x").is_err());
+        assert!(matches!(Backend::parse("single:2").unwrap(), Backend::SingleNode { parallelism: 2 }));
+        for label in ["single", "single:2", "single:0", "cluster:3"] {
+            assert_eq!(Backend::parse(label).unwrap().label(), label, "label must round-trip");
+        }
+        assert_eq!(Backend::parse("single:1").unwrap().label(), "single", "serial keeps the plain label");
     }
 
     #[test]

@@ -42,21 +42,18 @@ pub trait SpatialIndex: Send + Sync {
     fn range(&self, rect: &Rect, out: &mut Vec<u32>);
 
     /// True when [`SpatialIndex::range_batch`] filters the index's **own**
-    /// SoA columns with no per-probe gather (the scan; the grid since its
-    /// buckets became bucket-major column runs in one arena). The
+    /// SoA columns with no per-probe gather: the scan (one pass over its
+    /// columns) and the grid (one contiguous cell strip per grid row). The
     /// executor's batched mode uses `range_batch` as its default probe only
-    /// for such indexes: a gather-based batched filter (KD boundary
-    /// leaves; the grid before the arena) adds a second memory pass over
-    /// every candidate, which on memory-bound cores costs more than the
-    /// lane compares save for the small per-probe candidate sets indexes
-    /// exist to produce — the gather-era grid measured 0.7–0.9× query
-    /// throughput on the reference container, where the arena-native grid
-    /// measures 1.15–1.3× and the native scan path 2–8×. Gather-based
+    /// for such indexes: a gather-based batched filter (KD boundary leaves)
+    /// adds a second memory pass over every candidate, which on
+    /// memory-bound cores costs more than the lane compares save for the
+    /// small per-probe candidate sets indexes exist to produce. Gather-based
     /// paths remain correct and stay exercised by the conformance suite.
     const RANGE_BATCH_NATIVE: bool = false;
 
     /// Batched form of [`SpatialIndex::range`]: emit coarse candidates
-    /// (whole buckets, boundary leaves, whole columns) into gather columns
+    /// (cell strips, boundary leaves, whole columns) into gather columns
     /// and run the containment test as a lane kernel
     /// ([`crate::kernels::filter_rect`]) instead of a branch per point.
     /// Candidates are identical to `range`'s: for canonical indexes the
@@ -130,7 +127,8 @@ pub enum IndexKind {
     /// KD-tree with orthogonal range queries (the paper's choice).
     #[default]
     KdTree,
-    /// Uniform grid (bucket) index; ablation alternative.
+    /// Dense counting-sort cell grid with a derived cell side; the index
+    /// every builtin scenario runs by default.
     Grid,
 }
 

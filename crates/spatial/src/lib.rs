@@ -8,10 +8,11 @@
 //! * [`index`] — the [`SpatialIndex`] abstraction with
 //!   three implementations: a brute-force scan (the paper's "no indexing"
 //!   baseline), a [`KdTree`] (the paper's prototype used a
-//!   KD-tree, citing Bentley), and a [`UniformGrid`] bucket index whose
-//!   buckets are bucket-major SoA column runs in one contiguous arena —
-//!   kernel-native (`RANGE_BATCH_NATIVE`) and canonical
-//!   (`RANGE_CANONICAL`), maintained incrementally under motion.
+//!   KD-tree, citing Bentley), and the default [`UniformGrid`], a dense
+//!   counting-sort cell grid with a derived cell side whose probes stream
+//!   one contiguous strip per grid row — kernel-native
+//!   (`RANGE_BATCH_NATIVE`) and canonical (`RANGE_CANONICAL`), re-binned
+//!   in O(n + cells) under motion.
 //! * [`partition`] — the spatial partitioning function `P : L → P` of the
 //!   paper's Appendix A: a rectilinear grid whose column boundaries can be
 //!   moved by the load balancer, owned regions, partition visible regions

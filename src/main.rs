@@ -3,7 +3,7 @@
 //! ```text
 //! brace list
 //! brace compile <scenario|all> [--no-opt]
-//! brace run --scenario <name|all> [--backend single|cluster[:N]|both]
+//! brace run --scenario <name|all> [--backend single[:N]|cluster[:N]|both]
 //!           [--ticks T] [--agents N] [--seed S] [--index kdtree|grid|scan]
 //!           [--conformance] [--progress] [--trace PATH]
 //! brace run --scenario <name> --run-dir DIR [--run-id ID] [--backend cluster[:N]]
@@ -21,7 +21,8 @@
 //!
 //! `run` drives every named scenario through the backend-erased
 //! [`Runner`](brace_scenario::Runner): same behavior, same population, same
-//! seed on the single-node executor or an N-worker cluster, with the
+//! seed on the single-node executor (`single` is serial, `single:N` runs
+//! `N` threads, `0` = all cores) or an N-worker cluster, with the
 //! scenario's own post-run sanity checks enforced. CI runs
 //! `run --scenario all --ticks 5 --backend both` so a scenario that only
 //! works on one backend can never merge. Checksums printed here are
@@ -58,7 +59,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: brace list\n\
          \x20      brace compile <scenario|all> [--no-opt]\n\
-         \x20      brace run --scenario <name|all> [--backend single|cluster[:N]|both] [--ticks T]\n\
+         \x20      brace run --scenario <name|all> [--backend single[:N]|cluster[:N]|both] [--ticks T]\n\
          \x20            [--agents N] [--seed S] [--index kdtree|grid|scan] [--conformance] [--progress]\n\
          \x20            [--trace PATH]\n\
          \x20            [--run-dir DIR [--run-id ID] [--checkpoint-every E] [--keep-checkpoints K]\n\

@@ -16,7 +16,8 @@
 //! deliberate model change (the failing assert prints actuals), and say so
 //! in the PR — the same protocol as `tests/golden_tick.rs`.
 
-use brace::scenario::{Backend, Registry, Runner};
+use brace::scenario::{brasil_unoptimized, Backend, Registry, Runner};
+use brace::spatial::IndexKind;
 
 /// Conformance horizon: enough ticks for real boundary traffic (every
 /// builtin's population spans both partitions within visibility of the
@@ -53,6 +54,37 @@ fn every_scenario_cluster_matches_single_node_bitwise() {
         );
         assert_eq!(single.agents, cluster.agents, "scenario `{}` population diverged", scenario.name());
         assert!(single.agents > 0, "scenario `{}` conformance world is empty", scenario.name());
+    }
+}
+
+/// Every scenario's **default** form is index-independent: run on the grid
+/// (every build's default), the KD-tree and the scan, a small population
+/// reaches the same checksum after a few ticks. This pins the choice of
+/// default index as result-neutral for the whole catalogue, including the
+/// unoptimized BRASIL twins.
+#[test]
+fn every_default_form_is_index_independent() {
+    let registry = Registry::builtin();
+    let twins: Vec<_> = registry.names().into_iter().filter_map(brasil_unoptimized).collect();
+    for scenario in registry.iter().chain(twins.iter().map(|t| t.as_ref())) {
+        let run = |kind| {
+            Runner::new(scenario)
+                .seed(SEED)
+                .population(250)
+                .index(kind)
+                .run(6)
+                .unwrap_or_else(|e| panic!("scenario `{}` on {kind:?} failed: {e}", scenario.name()))
+        };
+        let grid = run(IndexKind::Grid);
+        for kind in [IndexKind::KdTree, IndexKind::Scan] {
+            let other = run(kind);
+            assert_eq!(
+                (grid.checksum, grid.agents),
+                (other.checksum, other.agents),
+                "scenario `{}`: {kind:?} diverged from the grid",
+                scenario.name()
+            );
+        }
     }
 }
 
