@@ -55,11 +55,12 @@ pub struct FishParams {
     /// [`FORCE_KERNEL_COST`] — which engages [`force_kernel`], matching
     /// the measured 2–8× batched gains that made fish the motivating case
     /// for lane kernels. Pure scheduling policy, bit-identical either way.
-    /// Re-measured after the grid's bucket arena made the index-side
-    /// filter kernel-native: most of the grid's batched gain now comes
-    /// from that filter, and the force kernel's own margin there is near
-    /// parity (within run noise at 100k) — engagement stays on, carried by
-    /// the KD-tree and scan cases the shared cost rule also governs.
+    /// The index-side range filter runs in every probe on either path (the
+    /// dense grid, the scan and the KD-tree all filter through
+    /// `brace_spatial::kernels::filter_rect`), so engagement decides only
+    /// the behavior side: [`force_kernel`] over gathered columns against
+    /// per-row `candidate_force`, both folded by the same register-resident
+    /// zone fold.
     pub batch_engagement: Option<bool>,
 }
 
@@ -167,6 +168,81 @@ pub fn force_kernel(xs: &[f64], ys: &[f64], mx: f64, my: f64, d2: &mut Vec<f64>,
     }
 }
 
+/// The querier's zone fold: its eight Sum effects, accumulated in locals
+/// in candidate order and written to the effect table once per query.
+///
+/// Bit-identical to combining every candidate's contribution into the
+/// table as it arrives. Fish effects are local-only, so no other query
+/// writes the querier's row; the row starts at the Sum identity `+0.0`,
+/// and each accumulator repeats the table's additions in the same order
+/// from the same start. A running sum that starts at `+0.0` can never
+/// become `-0.0`, so the final `0.0 + acc` in [`ZoneFold::emit`] returns
+/// `acc` unchanged (NaN included), and a zone no candidate reached writes
+/// `0.0 + 0.0 = +0.0`, the identity it already held.
+struct ZoneFold {
+    alpha2: f64,
+    rho2: f64,
+    rep: (f64, f64),
+    att: (f64, f64),
+    ali: (f64, f64),
+    n_rep: f64,
+    n_vis: f64,
+}
+
+impl ZoneFold {
+    fn new(p: &FishParams) -> Self {
+        ZoneFold {
+            alpha2: p.alpha * p.alpha,
+            rho2: p.rho * p.rho,
+            rep: (0.0, 0.0),
+            att: (0.0, 0.0),
+            ali: (0.0, 0.0),
+            n_rep: 0.0,
+            n_vis: 0.0,
+        }
+    }
+
+    /// Fold one neighbor: squared distance `d2`, unit direction `(ux, uy)`
+    /// toward it (from [`candidate_force`] or [`force_kernel`]) and its
+    /// heading `(hx, hy)`.
+    #[inline]
+    fn add(&mut self, d2: f64, ux: f64, uy: f64, hx: f64, hy: f64) {
+        if d2 > self.rho2 {
+            // Corner of the square visible region beyond ρ: the model is
+            // radial, the index is rectangular; filter here.
+            return;
+        }
+        if d2 <= self.alpha2 {
+            self.rep.0 += -ux;
+            self.rep.1 += -uy;
+            self.n_rep += 1.0;
+        } else {
+            self.att.0 += ux;
+            self.att.1 += uy;
+            self.ali.0 += hx;
+            self.ali.1 += hy;
+            self.n_vis += 1.0;
+        }
+    }
+
+    /// Write all eight effects, once each.
+    fn emit(&self, eff: &mut EffectWriter<'_>) {
+        let fields = [
+            (effect::REP_X, self.rep.0),
+            (effect::REP_Y, self.rep.1),
+            (effect::ATT_X, self.att.0),
+            (effect::ATT_Y, self.att.1),
+            (effect::ALI_X, self.ali.0),
+            (effect::ALI_Y, self.ali.1),
+            (effect::N_REP, self.n_rep),
+            (effect::N_VIS, self.n_vis),
+        ];
+        for (field, v) in fields {
+            eff.local(FieldId::new(field), v);
+        }
+    }
+}
+
 /// The fish school as a BRACE behavior.
 #[derive(Debug, Clone)]
 pub struct FishBehavior {
@@ -241,34 +317,20 @@ impl Behavior for FishBehavior {
     }
 
     fn query(&self, me: AgentRef<'_>, nbrs: &Neighbors<'_>, eff: &mut EffectWriter<'_>, _rng: &mut DetRng) {
-        let p = &self.params;
-        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
+        let mut fold = ZoneFold::new(&self.params);
         let my_pos = me.pos();
         for nb in nbrs.iter() {
             let npos = nb.agent.pos();
             let (d2, ux, uy) = candidate_force(my_pos.x, my_pos.y, npos.x, npos.y);
-            if d2 > rho2 {
-                // Corner of the square visible region beyond ρ: the model
-                // is radial, the index is rectangular; filter here.
-                continue;
-            }
-            if d2 <= alpha2 {
-                eff.local(FieldId::new(effect::REP_X), -ux);
-                eff.local(FieldId::new(effect::REP_Y), -uy);
-                eff.local(FieldId::new(effect::N_REP), 1.0);
-            } else {
-                eff.local(FieldId::new(effect::ATT_X), ux);
-                eff.local(FieldId::new(effect::ATT_Y), uy);
-                eff.local(FieldId::new(effect::ALI_X), nb.agent.state(state::HX));
-                eff.local(FieldId::new(effect::ALI_Y), nb.agent.state(state::HY));
-                eff.local(FieldId::new(effect::N_VIS), 1.0);
-            }
+            fold.add(d2, ux, uy, nb.agent.state(state::HX), nb.agent.state(state::HY));
         }
+        fold.emit(eff);
     }
 
     /// Batched query: gather positions + headings, run [`force_kernel`]
-    /// over the candidate columns, then emit effects in candidate order —
-    /// the same fold, over lane-computed values, as the scalar path.
+    /// over the candidate columns, then fold the lane-computed values in
+    /// candidate order through the same zone fold as the scalar path,
+    /// which holds the sums in registers and writes each effect once.
     fn query_batch(
         &self,
         me: AgentRef<'_>,
@@ -276,34 +338,19 @@ impl Behavior for FishBehavior {
         eff: &mut EffectWriter<'_>,
         _rng: &mut DetRng,
     ) {
-        let p = &self.params;
-        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
+        let mut fold = ZoneFold::new(&self.params);
         let my_pos = me.pos();
         let g = batch.gather(&[state::HX, state::HY]);
         with_lane_scratch(|s| {
             force_kernel(g.xs, g.ys, my_pos.x, my_pos.y, &mut s.a, &mut s.b, &mut s.c);
             let (hx, hy) = (g.state(0), g.state(1));
             for i in 0..g.len() {
-                if g.rows[i] == g.me {
-                    continue;
-                }
-                let d2 = s.a[i];
-                if d2 > rho2 {
-                    continue;
-                }
-                if d2 <= alpha2 {
-                    eff.local(FieldId::new(effect::REP_X), -s.b[i]);
-                    eff.local(FieldId::new(effect::REP_Y), -s.c[i]);
-                    eff.local(FieldId::new(effect::N_REP), 1.0);
-                } else {
-                    eff.local(FieldId::new(effect::ATT_X), s.b[i]);
-                    eff.local(FieldId::new(effect::ATT_Y), s.c[i]);
-                    eff.local(FieldId::new(effect::ALI_X), hx[i]);
-                    eff.local(FieldId::new(effect::ALI_Y), hy[i]);
-                    eff.local(FieldId::new(effect::N_VIS), 1.0);
+                if g.rows[i] != g.me {
+                    fold.add(s.a[i], s.b[i], s.c[i], hx[i], hy[i]);
                 }
             }
         });
+        fold.emit(eff);
     }
 
     fn update(&self, me: &mut Agent, ctx: &mut UpdateCtx<'_>) {
@@ -380,6 +427,108 @@ mod tests {
                 assert_eq!(d2[i].to_bits(), sd2.to_bits(), "count {n} element {i}");
                 assert_eq!(ux[i].to_bits(), sux.to_bits(), "count {n} element {i}");
                 assert_eq!(uy[i].to_bits(), suy.to_bits(), "count {n} element {i}");
+            }
+        }
+    }
+
+    /// The zone fold — scalar `query` and `query_batch` alike — writes the
+    /// same bits as combining every candidate's contribution into the
+    /// effect table as it arrives (the per-candidate sequence both paths
+    /// ran before the fold moved into registers). The neighbourhood is
+    /// crafted around the querier: itself, a coincident fish (zero
+    /// direction), candidates exactly at d² = α² and d² = ρ² (both zone
+    /// bounds are inclusive), candidates inside each zone, and corners of
+    /// the probe rect beyond ρ. Coordinates are dyadic so the boundary
+    /// distances are exact. Every other fish also queries, as a control.
+    #[test]
+    fn zone_fold_matches_per_candidate_table_writes() {
+        use brace_core::{AgentPool, BatchScratch, EffectTable, NeighborBatch, Neighbors};
+        let p = FishParams::default();
+        assert_eq!((p.alpha, p.rho), (1.0, 6.0), "offsets below assume the default zones");
+        let b = FishBehavior::new(p.clone());
+        let schema = b.schema().clone();
+        let (mx, my) = (0.5, -0.25);
+        let offsets = [
+            (3.0, -2.0),    // visible zone
+            (0.0, 0.0),     // coincident fish
+            (1.0, 0.0),     // d² = α²: repulsion
+            (0.0, 0.0),     // the querier itself (row 3)
+            (0.0, -6.0),    // d² = ρ²: visible
+            (0.625, 0.5),   // repulsion zone
+            (-0.25, 0.75),  // repulsion zone
+            (-4.5, 1.25),   // visible zone
+            (5.5, 5.5),     // rect corner beyond ρ
+            (-6.0, 6.0),    // rect corner beyond ρ
+            (6.0, -0.5),    // just beyond ρ
+            (2.5, 2.5),     // visible zone
+            (-0.5, -0.875), // visible zone
+        ];
+        let agents: Vec<Agent> = offsets
+            .iter()
+            .enumerate()
+            .map(|(i, &(dx, dy))| {
+                let mut a = Agent::new(AgentId::new(i as u64), Vec2::new(mx + dx, my + dy), &schema);
+                let theta = i as f64 * 0.7 + 0.1;
+                a.state[state::HX as usize] = theta.cos();
+                a.state[state::HY as usize] = theta.sin();
+                a
+            })
+            .collect();
+        let pool = AgentPool::from_agents(&schema, &agents);
+        let view = pool.view();
+        let cands: Vec<u32> = (0..agents.len() as u32).collect();
+        let (alpha2, rho2) = (p.alpha * p.alpha, p.rho * p.rho);
+        let mut rng = DetRng::seed_from_u64(0);
+        let mut scratch = BatchScratch::default();
+        let fresh = || {
+            let mut t = EffectTable::new(&schema);
+            t.reset(agents.len());
+            t
+        };
+        for me in 0..agents.len() as u32 {
+            // Reference: the old fold, one table combine per contribution.
+            let mut reference = fresh();
+            let (qx, qy) = (agents[me as usize].pos.x, agents[me as usize].pos.y);
+            for &c in cands.iter().filter(|&&c| c != me) {
+                let a = &agents[c as usize];
+                let (d2, ux, uy) = candidate_force(qx, qy, a.pos.x, a.pos.y);
+                if d2 > rho2 {
+                    continue;
+                }
+                let mut put = |f: u16, v: f64| reference.combine(me, FieldId::new(f), v);
+                if d2 <= alpha2 {
+                    put(effect::REP_X, -ux);
+                    put(effect::REP_Y, -uy);
+                    put(effect::N_REP, 1.0);
+                } else {
+                    put(effect::ATT_X, ux);
+                    put(effect::ATT_Y, uy);
+                    put(effect::ALI_X, a.state[state::HX as usize]);
+                    put(effect::ALI_Y, a.state[state::HY as usize]);
+                    put(effect::N_VIS, 1.0);
+                }
+            }
+            let mut scalar = fresh();
+            b.query(
+                view.agent(me),
+                &Neighbors::new(view, &cands, me),
+                &mut EffectWriter::new(&schema, &mut scalar, me),
+                &mut rng,
+            );
+            let mut batched = fresh();
+            let mut batch = NeighborBatch::new(view, &cands, me, &mut scratch);
+            b.query_batch(view.agent(me), &mut batch, &mut EffectWriter::new(&schema, &mut batched, me), &mut rng);
+            let bits = |t: &EffectTable| t.row(me).iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&scalar), bits(&reference), "scalar query, querier {me}");
+            assert_eq!(bits(&batched), bits(&reference), "batched query, querier {me}");
+            for r in (0..agents.len() as u32).filter(|&r| r != me) {
+                assert!(scalar.row_is_identity(r) && batched.row_is_identity(r), "local effects only");
+            }
+            if me == 3 {
+                // The crafted querier reaches both zones, bounds included:
+                // coincident + α² + two inside; ρ² + four inside.
+                assert_eq!(reference.get(me, FieldId::new(effect::N_REP)), 4.0);
+                assert_eq!(reference.get(me, FieldId::new(effect::N_VIS)), 5.0);
             }
         }
     }

@@ -91,10 +91,11 @@ pub struct TrafficParams {
     /// (`brace_core::behavior::batch_engaged`) to [`GAP_KERNEL_COST`] —
     /// which stays scalar: the per-candidate map is three subtractions,
     /// too cheap to amortize the candidate gather on the reference
-    /// container (≈0.75× query throughput measured there; re-measured at
-    /// ≈0.7–0.87× after the grid's bucket arena made its *index-side*
-    /// filter kernel-native — the index filter and this behavior-side
-    /// kernel engage independently, and the gap scan still loses). Results
+    /// container (≈0.75× query throughput measured there, ≈0.7–0.87× in a
+    /// later re-measurement). The *index-side* range filter
+    /// (`brace_spatial::kernels::filter_rect`) runs in every probe
+    /// regardless; this override engages only the behavior-side kernel,
+    /// and the gap scan still loses. Results
     /// are bit-identical either way (the kernel conformance contract), so
     /// this is pure scheduling policy; pin `Some(true)` where a measurement
     /// says it pays.

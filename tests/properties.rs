@@ -874,15 +874,14 @@ proptest! {
         }
     }
 
-    /// Grid bucket arena under churn: across rounds of migration (bounded
-    /// moves, applied through `update`), spawns and kills (row-mapping
-    /// changes, applied through a rebuild — exactly the executor's
-    /// contract), the incrementally maintained grid's native-batched
-    /// emission, its scalar emission, and a fresh build over the same
-    /// point set are all bit-identical — and globally ascending by
-    /// payload, the canonical order the pre-arena grid emitted. This pins
-    /// the SoA arena (run relocation, slack slots, dead-slot compaction)
-    /// as invisible to every query path.
+    /// Dense grid under churn: across rounds of migration (bounded moves,
+    /// applied through `update`, which re-bins the moved points), spawns
+    /// and kills (row-mapping changes, applied through a rebuild — exactly
+    /// the executor's contract), the incrementally maintained grid's
+    /// native-batched emission, its scalar emission, and a fresh build
+    /// over the same point set are all bit-identical — and globally
+    /// ascending by payload, the canonical order every probe emits. This
+    /// pins the counting-sort re-bin as invisible to every query path.
     #[test]
     fn grid_arena_churn_preserves_canonical_emission(
         seed in 0u64..10_000,
@@ -899,7 +898,7 @@ proptest! {
         let mut grid = UniformGrid::with_cell(&pts, cell);
         for _ in 0..rounds {
             // Migration: bounded moves through the incremental path (large
-            // steps cross buckets, forcing run relocation in the arena).
+            // steps cross cells, so the re-bin moves points between them).
             let mut moved: Vec<(u32, Vec2)> = Vec::new();
             for &(p, payload) in &pts {
                 if rng.chance(move_frac) {
